@@ -7,11 +7,13 @@ use std::time::Instant;
 
 use harvsim_core::{Explorer, GridSpec, ScenarioConfig, Simulation, SweepParameter};
 
-use crate::measure::{self, fast_decile, median, percentile, secs, Scratch, Tracer};
+use crate::measure::{self, fast_decile, median, percentile, secs, HostSpeed, Scratch, Tracer};
 use crate::{measure_for, Options, Report, Size};
 
-/// Set-up samples whose fast decile is `setup_s`.
-const SETUP_SAMPLES: usize = 15;
+/// Calibrations of the host's speed after each grid.
+const CALIBRATIONS_PER_GRID: usize = 3;
+/// Set-up samples after each grid; `setup_s` is their median.
+const SETUP_PER_GRID: usize = 2;
 /// Explorer constructions timed together in one set-up sample (one takes
 /// microseconds, so a single one is at the clock's resolution).
 const SETUP_BATCH: u32 = 200;
@@ -77,6 +79,7 @@ fn grid(
     options: &Options,
     scratch: &Scratch,
     workers: usize,
+    host: &mut HostSpeed,
     tracer: &mut Tracer,
     report: &mut Report,
     grids: &mut Grids,
@@ -87,6 +90,9 @@ fn grid(
     let clock = Instant::now();
     let outcome = tracer.span("explore.run", || format!("grid-{index}"), |_| explorer.run());
     let wall = secs(clock.elapsed());
+    for _ in 0..CALIBRATIONS_PER_GRID {
+        host.calibrate();
+    }
     let result = outcome.map_err(|err| format!("explore grid: {err}"))?;
     report.attempted += result.offered as u64;
     report.failed += (result.offered - result.completed) as u64;
@@ -120,21 +126,19 @@ pub fn run(options: &Options) -> Result<Report, String> {
     let scratch = Scratch::new("explore").map_err(|err| format!("scratch directory: {err}"))?;
     let workers = measure::nproc();
 
-    // Set-up: constructing the explorer (grid spec, worker count, store path).
+    // Set-up: constructing the explorer (grid spec, worker count, store
+    // path), sampled after every grid so the samples cover the whole run.
     let store_path = scratch.path().join("grid.hvck");
-    let setup: Vec<f64> = (0..SETUP_SAMPLES)
-        .map(|_| {
-            let clock = Instant::now();
-            for _ in 0..SETUP_BATCH {
-                std::hint::black_box(
-                    Explorer::new(spec(options.size, options.seed))
-                        .workers(workers)
-                        .store(&store_path),
-                );
-            }
-            secs(clock.elapsed()) / f64::from(SETUP_BATCH)
-        })
-        .collect();
+    let setup_sample = || {
+        let clock = Instant::now();
+        for _ in 0..SETUP_BATCH {
+            std::hint::black_box(
+                Explorer::new(spec(options.size, options.seed)).workers(workers).store(&store_path),
+            );
+        }
+        secs(clock.elapsed()) / f64::from(SETUP_BATCH)
+    };
+    let mut setup = Vec::new();
 
     // Warm-up: the toy grid once, untimed.
     Explorer::new(spec(Size::Toy, options.seed))
@@ -151,24 +155,53 @@ pub fn run(options: &Options) -> Result<Report, String> {
     let budget = if options.trace { options.seconds / 2.0 } else { options.seconds };
     let mut untraced = Grids::default();
     let mut tracer = Tracer::new(false);
+    let mut host = HostSpeed::new(workers);
     measure_for(budget, min_grids, || {
-        grid(options, &scratch, workers, &mut tracer, &mut report, &mut untraced)
+        grid(options, &scratch, workers, &mut host, &mut tracer, &mut report, &mut untraced)?;
+        setup.extend((0..SETUP_PER_GRID).map(|_| setup_sample()));
+        Ok::<(), String>(())
     })?;
-    report.end_to_end.insert("setup_s", fast_decile(&setup));
-    report.end_to_end.insert("result_p10_ms", fast_decile(&untraced.walls) * 1e3);
-    // Throughput of the fast-decile grid: offered points over its wall time.
-    let points_per_s =
-        untraced.points as f64 / untraced.walls.len() as f64 / fast_decile(&untraced.walls);
-    report.end_to_end.insert("ops_per_s", points_per_s);
+    report.end_to_end.insert("setup_s", host.normalise(median(&setup)));
+    report.notes.push(format!(
+        "setup_s = {:.3e} s normalised (median of n={} samples of {SETUP_BATCH} Explorer constructions, between grids: wall {:.3e} s, p10 {:.3e} s)",
+        host.normalise(median(&setup)),
+        setup.len(),
+        median(&setup),
+        fast_decile(&setup)
+    ));
+    let points_per_grid = untraced.points as f64 / untraced.walls.len() as f64;
+    let grid_s = host.normalise(median(&untraced.walls));
+    report.end_to_end.insert("result_ms", grid_s * 1e3);
+    report.end_to_end.insert("ops_per_s", points_per_grid / grid_s);
+    // Per-layer throughput: points over the median grid's wall time.
+    let points_per_s = points_per_grid / median(&untraced.walls);
     report.layers.insert("explore.points_per_s", points_per_s);
+    report.notes.push(format!(
+        "result_ms = {:.3} ms normalised (median of n={} grids); ops_per_s = {:.3} points/s normalised; median calibration {:.4} ms on {workers} threads over n={} (reference {:.4} ms)",
+        grid_s * 1e3,
+        untraced.walls.len(),
+        points_per_grid / grid_s,
+        host.median_s() * 1e3,
+        host.count(),
+        measure::CALIBRATION_REFERENCE_S * 1e3
+    ));
 
     let untraced_summary = (untraced.points, untraced.walls.len(), median(&untraced.walls));
     let mut grids = untraced;
     if options.trace {
         let mut traced = Grids::default();
         let mut tracer = Tracer::new(true);
+        let mut traced_host = HostSpeed::new(workers);
         measure_for(budget, min_grids, || {
-            grid(options, &scratch, workers, &mut tracer, &mut report, &mut traced)
+            grid(
+                options,
+                &scratch,
+                workers,
+                &mut traced_host,
+                &mut tracer,
+                &mut report,
+                &mut traced,
+            )
         })?;
         // Session start-up of every grid point, replayed through
         // `Simulation::start` (the explorer starts its sessions internally).
@@ -179,7 +212,7 @@ pub fn run(options: &Options) -> Result<Report, String> {
                 .span("session.start", || format!("point-{index}"), |_| simulation.start())
                 .map_err(|err| format!("point {index}: {err}"))?;
         }
-        let overhead = fast_decile(&traced.walls) / fast_decile(&grids.walls) - 1.0;
+        let overhead = traced_host.normalise(median(&traced.walls)) / grid_s - 1.0;
         report.layers.insert("trace.overhead_frac", overhead);
         report
             .layers
@@ -194,8 +227,8 @@ pub fn run(options: &Options) -> Result<Report, String> {
         measure::nproc()
     ));
     report.notes.push(format!(
-        "explore.points_per_s = {points_per_s:.2} 1/s (fast-decile grid; {untraced_points} points in n={untraced_grids} grids); grid wall p10 {:.4} s, median {untraced_median:.4} s",
-        report.end_to_end["result_p10_ms"] * 1e-3,
+        "explore.points_per_s = {points_per_s:.2} 1/s (median grid wall; {untraced_points} points in n={untraced_grids} grids); grid wall p10 {:.4} s, median {untraced_median:.4} s",
+        fast_decile(&grids.walls),
     ));
     let walls: Vec<String> = grids.walls.iter().map(|wall| format!("{wall:.3}")).collect();
     report.notes.push(format!("explore grid walls [s]: {}", walls.join(" ")));

@@ -30,10 +30,8 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     sorted[rank(sorted.len(), p)]
 }
 
-/// The fast decile (p10) of repeated timings: the figure the end-to-end
-/// metrics gate on. On a shared host a neighbour can only slow a repetition
-/// down, and whole stretches of a run can be slowed by a third or more; the
-/// fastest tenth of the repetitions stays put where the median drifts.
+/// The fast decile (p10) of repeated timings, printed beside medians: on a
+/// shared host a neighbour can only slow a repetition down.
 pub fn fast_decile(values: &[f64]) -> f64 {
     percentile(values, 10.0)
 }
@@ -86,6 +84,133 @@ pub fn clock_read_ns() -> f64 {
         })
         .collect();
     median(&samples)
+}
+
+/// Repetitions of the calibration kernel in one calibration.
+const CALIBRATION_REPS: u32 = 2_000;
+/// One calibration's wall time at the reference host speed, seconds: its
+/// fast decile on the quiet build host (2-vCPU Xeon VM). A normalised time
+/// is a wall time scaled to this speed.
+pub const CALIBRATION_REFERENCE_S: f64 = 1.6e-3;
+
+/// The calibration kernel: LU with partial pivoting and a solve of a fixed
+/// 12 × 12 system, `reps` times — small dense floating point like the
+/// march's. It lives in the benchmark, so no change to the program moves it.
+fn calibration_kernel(reps: u32, seed: f64) -> f64 {
+    const N: usize = 12;
+    let mut sum = 0.0;
+    for r in 0..reps as usize {
+        let mut a = [[0.0f64; N]; N];
+        let mut b = [0.0f64; N];
+        for (i, row) in a.iter_mut().enumerate() {
+            for (j, value) in row.iter_mut().enumerate() {
+                *value = ((i * 7 + j * 3 + r) % 11) as f64 * 0.1;
+            }
+            row[i] += 5.0 + seed;
+            b[i] = i as f64 + seed;
+        }
+        for k in 0..N {
+            let pivot =
+                (k..N).max_by(|&x, &y| a[x][k].abs().total_cmp(&a[y][k].abs())).unwrap_or(k);
+            a.swap(k, pivot);
+            b.swap(k, pivot);
+            for i in k + 1..N {
+                let (upper, lower) = a.split_at_mut(i);
+                let (pivot_row, row) = (&upper[k], &mut lower[0]);
+                let f = row[k] / pivot_row[k];
+                for (value, p) in row[k..].iter_mut().zip(&pivot_row[k..]) {
+                    *value -= f * p;
+                }
+                b[i] -= f * b[k];
+            }
+        }
+        for i in (0..N).rev() {
+            let tail: f64 = (i + 1..N).map(|j| a[i][j] * b[j]).sum();
+            b[i] = (b[i] - tail) / a[i][i];
+        }
+        sum += b.iter().sum::<f64>();
+    }
+    sum
+}
+
+/// Wall time of one calibration run on each of `threads` threads at once,
+/// the mean over the threads, in seconds.
+fn calibration_s(threads: usize) -> f64 {
+    let run = || {
+        let clock = Instant::now();
+        std::hint::black_box(calibration_kernel(CALIBRATION_REPS, std::hint::black_box(0.5)));
+        clock.elapsed().as_secs_f64()
+    };
+    if threads <= 1 {
+        return run();
+    }
+    let times: Vec<f64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
+        handles.into_iter().map(|h| h.join().expect("calibration thread")).collect()
+    });
+    mean(&times)
+}
+
+/// The host's speed over one run, from calibrations taken between its
+/// measured operations. The host this benchmark runs on is shared:
+/// neighbours slow a whole run by a third or more, for minutes at a time,
+/// and no statistic of raw wall times undoes that. The calibration is a
+/// fixed kernel, run on as many threads as the operations use; a wall time
+/// is normalised by scaling it with how much slower than the reference the
+/// run's median calibration was. A change in the program moves the
+/// operations and not the calibration, so it shows in a normalised time in
+/// full.
+#[derive(Debug)]
+pub struct HostSpeed {
+    threads: usize,
+    calibrations: Vec<f64>,
+}
+
+impl HostSpeed {
+    /// Calibrations on `threads` threads at once; takes the first one.
+    pub fn new(threads: usize) -> HostSpeed {
+        let mut speed = HostSpeed { threads, calibrations: Vec::new() };
+        speed.calibrate();
+        speed
+    }
+
+    /// Takes one calibration.
+    pub fn calibrate(&mut self) {
+        self.calibrations.push(calibration_s(self.threads));
+    }
+
+    /// Median calibration so far, seconds.
+    pub fn median_s(&self) -> f64 {
+        median(&self.calibrations)
+    }
+
+    /// Calibrations taken so far.
+    pub fn count(&self) -> usize {
+        self.calibrations.len()
+    }
+
+    /// `wall` seconds scaled to the reference speed: `wall` ×
+    /// [`CALIBRATION_REFERENCE_S`] / the median calibration.
+    pub fn normalise(&self, wall: f64) -> f64 {
+        wall * CALIBRATION_REFERENCE_S / self.median_s()
+    }
+}
+
+/// Wall time of one durable write in `dir`, seconds: a 1008-byte frame
+/// written to a temporary sibling, fsync'd, renamed over the final name, and
+/// the directory fsync'd — the session store's put discipline, in the
+/// benchmark's own code, so no change to the program moves it.
+pub fn durable_write_s(dir: &Path) -> std::io::Result<f64> {
+    use std::io::Write as _;
+    let (staging, target) = (dir.join("reference.tmp"), dir.join("reference.frame"));
+    let clock = Instant::now();
+    let mut file = std::fs::File::create(&staging)?;
+    file.write_all(&[0x5a; 1008])?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&staging, &target)?;
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(clock.elapsed().as_secs_f64())
 }
 
 /// Peak resident set size of this process in MiB (`VmHWM`), `0.0` where the

@@ -7,14 +7,15 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// End-to-end metrics, reported by every workload with the workload's own
-/// meaning of "one result" (see README.md): `(name, unit)`. Timings are the
-/// fast decile of their repetitions ([`crate::measure::fast_decile`]).
+/// meaning of "one result" (see README.md): `(name, unit)`. Timings are
+/// medians normalised to a reference host speed ([`crate::measure::HostSpeed`]),
+/// except `serve`'s `setup_s`.
 pub const END_TO_END: [(&str, &str); 4] =
-    [("setup_s", "s"), ("peak_rss_mb", "MiB"), ("result_p10_ms", "ms"), ("ops_per_s", "1/s")];
+    [("setup_s", "s"), ("peak_rss_mb", "MiB"), ("result_ms", "ms"), ("ops_per_s", "1/s")];
 
 /// Per-layer metrics printed by traced runs: `(name, unit)`. A layer the
 /// workload does not exercise reports `0` — no work done there.
-pub const PER_LAYER: [(&str, &str); 79] = [
+pub const PER_LAYER: [(&str, &str); 81] = [
     ("bench.clock_read_ns", "ns"),
     ("bench.threads_used", "count"),
     ("bench.nproc", "count"),
@@ -25,7 +26,9 @@ pub const PER_LAYER: [(&str, &str); 79] = [
     ("table2.speedup", "ratio"),
     ("table2.max_dev_v", "V"),
     ("explore.points_per_s", "1/s"),
+    ("serve.latency_p50_ms", "ms"),
     ("serve.latency_p95_ms", "ms"),
+    ("serve.burst_jobs_per_s", "1/s"),
     ("serve.batch_latency_p50_ms", "ms"),
     ("serve.miss_frac", "ratio"),
     ("serve.lateness_ms_p95", "ms"),

@@ -12,7 +12,7 @@ use harvsim_core::{
 };
 use harvsim_ode::Trajectory;
 
-use crate::measure::{fast_decile, median, secs, Tracer};
+use crate::measure::{fast_decile, median, secs, HostSpeed, Tracer};
 use crate::{measure_for, Options, Report, Size};
 
 /// Cross-engine acceptance band on the store voltage, volts.
@@ -22,8 +22,8 @@ pub const MAX_DEVIATION_V: f64 = 2e-4;
 pub const MAX_POLE_RE: f64 = 3.5e4;
 /// Samples of the deviation scan over the common span.
 const DEVIATION_SAMPLES: usize = 400;
-/// Set-up rounds whose fast decile is `setup_s`.
-const SETUP_ROUNDS: usize = 25;
+/// Set-up rounds after each pass; `setup_s` is their median.
+const SETUP_ROUNDS_PER_PASS: usize = 3;
 /// Proposed-engine runs per scenario per pass: the proposed engine is the
 /// headline and a twentieth of the baseline's cost, so it gets more samples.
 const PROPOSED_REPEATS: usize = 3;
@@ -75,6 +75,7 @@ struct EngineRun {
 
 fn run_engine(
     tracer: &mut Tracer,
+    host: &mut HostSpeed,
     label: &'static str,
     config: &ScenarioConfig,
     engine: SimulationEngine,
@@ -84,8 +85,10 @@ fn run_engine(
         tracer.span("session.start", || label.into(), |_| simulation.start())?;
     let probe = session.add_probe(WaveformProbe::new(record_interval(engine)));
     let clock = Instant::now();
-    tracer.span("session.run_to_end", || label.into(), |_| session.run_to_end())?;
+    let outcome = tracer.span("session.run_to_end", || label.into(), |_| session.run_to_end());
     let run = clock.elapsed();
+    host.calibrate();
+    outcome?;
     let terminals = session.probe::<WaveformProbe>(probe).expect("probe keeps its type");
     Ok(EngineRun {
         run,
@@ -120,6 +123,7 @@ pub fn pole_check(report: &mut Report, label: &str, pole_re: f64) -> bool {
 /// Per-scenario timings of the measured passes.
 #[derive(Default)]
 struct Timings {
+    /// Wall times, seconds, per scenario.
     proposed: [Vec<f64>; 2],
     baseline: [Vec<f64>; 2],
     /// Last pass's engine reports, `[scenario][engine]`.
@@ -131,6 +135,7 @@ struct Timings {
 /// the baseline once, each run alone.
 fn pass(
     tracer: &mut Tracer,
+    host: &mut HostSpeed,
     report: &mut Report,
     timings: &mut Timings,
     scenarios: &[(&'static str, ScenarioConfig); 2],
@@ -142,9 +147,11 @@ fn pass(
     for s in order {
         let (label, config) = &scenarios[s];
         let proposed: Vec<EngineRun> = (0..repeats)
-            .filter_map(|_| attempt(tracer, report, label, config, state_space))
+            .filter_map(|_| attempt(tracer, host, report, label, config, state_space))
             .collect();
-        let Some(baseline) = attempt(tracer, report, label, config, newton) else { continue };
+        let Some(baseline) = attempt(tracer, host, report, label, config, newton) else {
+            continue;
+        };
         let Some(reference) = proposed.last() else { continue };
         let deviation = reference
             .terminals
@@ -171,14 +178,18 @@ fn pass(
 /// counts as a failed one.
 fn attempt(
     tracer: &mut Tracer,
+    host: &mut HostSpeed,
     report: &mut Report,
     label: &'static str,
     config: &ScenarioConfig,
     engine: SimulationEngine,
 ) -> Option<EngineRun> {
     report.attempted += 1;
-    let run =
-        tracer.span("table2.engine_run", || label.into(), |t| run_engine(t, label, config, engine));
+    let run = tracer.span(
+        "table2.engine_run",
+        || label.into(),
+        |t| run_engine(t, host, label, config, engine),
+    );
     run.map_err(|err| {
         report.failed += 1;
         report.check(format!("{label}: engine run"), false, err.to_string());
@@ -231,31 +242,14 @@ pub fn run(options: &Options) -> Result<Report, String> {
     // are the paper's, so every counter is seed-independent.
     let order = if options.seed.is_multiple_of(2) { [0, 1] } else { [1, 0] };
 
-    // Set-up: every `Simulation::start` of a pass, repeated.
-    let mut rounds = Vec::new();
-    let mut starts = Vec::new();
-    for _ in 0..SETUP_ROUNDS {
-        let mut round = 0.0;
-        for (label, config) in &scenarios {
-            for engine in engines() {
-                let simulation = Simulation::from_config(config.clone()).engine(engine);
-                let clock = Instant::now();
-                let session = simulation.start().map_err(|err| format!("{label}: {err}"))?;
-                let took = secs(clock.elapsed());
-                drop(session);
-                round += took;
-                starts.push(took);
-            }
-        }
-        rounds.push(round);
-    }
-
-    // Warm-up: one pass at short spans, untimed.
+    // Warm-up: a set-up round, then one pass at short spans, untimed.
+    let mut host = HostSpeed::new(1);
+    setup_round(&scenarios)?;
     let warm: Vec<ScenarioConfig> =
         scenarios.iter().map(|(_, config)| table2_config(config.clone(), 0.25)).collect();
     for config in &warm {
         for engine in engines() {
-            run_engine(&mut Tracer::new(false), "warm-up", config, engine)
+            run_engine(&mut Tracer::new(false), &mut host, "warm-up", config, engine)
                 .map_err(|err| format!("warm-up: {err}"))?;
         }
     }
@@ -267,32 +261,91 @@ pub fn run(options: &Options) -> Result<Report, String> {
     let budget = if options.trace { options.seconds / 2.0 } else { options.seconds };
     let mut untraced = Timings::default();
     let mut tracer = Tracer::new(false);
+    // Set-up rounds between passes, so they sample the whole run.
+    let (mut rounds, mut starts) = (Vec::new(), Vec::new());
     let pass_walls = measure_for(budget, min_passes, || -> Result<(), String> {
-        pass(&mut tracer, &mut report, &mut untraced, &scenarios, order, repeats);
+        pass(&mut tracer, &mut host, &mut report, &mut untraced, &scenarios, order, repeats);
+        for _ in 0..SETUP_ROUNDS_PER_PASS {
+            let round = setup_round(&scenarios)?;
+            rounds.push(round.iter().sum::<f64>());
+            starts.extend(round);
+        }
         Ok(())
     })?;
-    let runs_per_pass = (2 * (repeats + 1)) as f64;
-    let untraced_p10 = fast_decile(&pass_sums(&untraced.proposed));
-    report.end_to_end.insert("setup_s", fast_decile(&rounds));
-    report.end_to_end.insert("result_p10_ms", untraced_p10 * 1e3);
-    report.end_to_end.insert("ops_per_s", runs_per_pass / fast_decile(&pass_walls));
+    let untraced_result = host.normalise(proposed_time(&untraced));
+    // Engine runs per second of a pass built from each engine's median run.
+    let pass_s = (0..2)
+        .map(|s| repeats as f64 * median(&untraced.proposed[s]) + median(&untraced.baseline[s]))
+        .sum::<f64>();
+    let ops_per_s = (2 * (repeats + 1)) as f64 / host.normalise(pass_s);
+    report.end_to_end.insert("setup_s", host.normalise(median(&rounds)));
+    report.end_to_end.insert("result_ms", untraced_result * 1e3);
+    report.end_to_end.insert("ops_per_s", ops_per_s);
+    report.notes.push(format!(
+        "setup_s = {:.7} s normalised (median of n={} rounds of the four Simulation::start calls, between passes: wall {:.7} s, p10 {:.7} s)",
+        host.normalise(median(&rounds)),
+        rounds.len(),
+        median(&rounds),
+        fast_decile(&rounds)
+    ));
+    report.notes.push(format!(
+        "result_ms = {:.3} ms normalised (wall {:.4} s: median per scenario {:.4} + {:.4} s); ops_per_s = {ops_per_s:.4} engine runs/s normalised; median calibration {:.4} ms over n={} (reference {:.4} ms)",
+        untraced_result * 1e3,
+        proposed_time(&untraced),
+        median(&untraced.proposed[0]),
+        median(&untraced.proposed[1]),
+        host.median_s() * 1e3,
+        host.count(),
+        crate::measure::CALIBRATION_REFERENCE_S * 1e3
+    ));
 
     let mut timings = untraced;
     if options.trace {
         let mut traced = Timings::default();
         let mut tracer = Tracer::new(true);
+        let mut traced_host = HostSpeed::new(1);
         measure_for(budget, min_passes, || -> Result<(), String> {
-            pass(&mut tracer, &mut report, &mut traced, &scenarios, order, repeats);
+            pass(
+                &mut tracer,
+                &mut traced_host,
+                &mut report,
+                &mut traced,
+                &scenarios,
+                order,
+                repeats,
+            );
             Ok(())
         })?;
-        let traced_p10 = fast_decile(&pass_sums(&traced.proposed));
-        report.layers.insert("trace.overhead_frac", traced_p10 / untraced_p10 - 1.0);
+        let traced_result = traced_host.normalise(proposed_time(&traced));
+        report.layers.insert("trace.overhead_frac", traced_result / untraced_result - 1.0);
         crate::write_trace(&mut report, &tracer, options)?;
         timings = traced;
     }
 
     summarise(&mut report, &timings, median(&starts), pass_walls.len());
     Ok(report)
+}
+
+/// One set-up round: every `Simulation::start` of a pass. Returns each
+/// start's wall time, seconds.
+fn setup_round(scenarios: &[(&'static str, ScenarioConfig); 2]) -> Result<Vec<f64>, String> {
+    let mut starts = Vec::new();
+    for (label, config) in scenarios {
+        for engine in engines() {
+            let simulation = Simulation::from_config(config.clone()).engine(engine);
+            let clock = Instant::now();
+            let session = simulation.start().map_err(|err| format!("{label}: {err}"))?;
+            starts.push(secs(clock.elapsed()));
+            drop(session);
+        }
+    }
+    Ok(starts)
+}
+
+/// The proposed engine's wall time for both scenarios: the sum of each
+/// scenario's median over every run.
+fn proposed_time(timings: &Timings) -> f64 {
+    median(&timings.proposed[0]) + median(&timings.proposed[1])
 }
 
 fn pass_sums(runs: &[Vec<f64>; 2]) -> Vec<f64> {
@@ -312,13 +365,15 @@ fn summarise(report: &mut Report, timings: &Timings, start_s: f64, passes: usize
         values.iter().map(|v| format!("{v:.4}")).collect::<Vec<_>>().join(" ")
     };
     report.notes.push(format!(
-        "table2.proposed_s = {:.4} s (median; p10 {:.4} s; n={} runs of both scenarios: {}; per scenario {:.4} + {:.4})",
+        "table2.proposed_s = {:.4} s (median; n={} runs of both scenarios: {}; per scenario median {:.4} + {:.4}, fast decile {:.4} + {:.4} over n={} runs each)",
         median(&proposed_passes),
-        fast_decile(&proposed_passes),
         proposed_passes.len(),
         list(&proposed_passes),
         proposed[0],
-        proposed[1]
+        proposed[1],
+        fast_decile(&timings.proposed[0]),
+        fast_decile(&timings.proposed[1]),
+        timings.proposed[0].len()
     ));
     report.notes.push(format!(
         "table2.baseline_s = {:.4} s (median of n={} runs of both scenarios: {}; per scenario {:.4} + {:.4})",

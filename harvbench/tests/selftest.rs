@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use harvbench::{explore, serve, table2, Options, Report, Size, END_TO_END, PER_LAYER, WORKLOADS};
-use harvsim_core::ServerStats;
+use harvsim_core::{JobClass, ServerStats};
 
 fn toy(workload: &str, trace: bool) -> Report {
     let options =
@@ -122,8 +122,8 @@ fn serve_toy_run_is_complete_and_correct() {
                 assert!(report.layers[name] > 0.0, "{name}");
             }
             assert!(
-                report.layers["store.puts_per_job"] >= 4.0,
-                "an interactive job has 4 preempts"
+                report.layers["store.puts_per_job"] >= 1.0,
+                "an interactive job has 1 preempt, a batch job 7"
             );
         }
     }
@@ -182,4 +182,15 @@ fn the_serve_schedule_is_seeded_and_offers_a_fixed_load() {
     assert_eq!(key(&a), key(&b));
     assert_ne!(key(&a), key(&c));
     assert!(a.windows(2).all(|pair| pair[0].due <= pair[1].due));
+    // The class mix is exact, not drawn: a fifth batch, half of those paused.
+    let batches = |jobs: &[serve::Job]| -> usize {
+        jobs.iter().filter(|job| job.spec.class == JobClass::Batch).count()
+    };
+    assert_eq!((batches(&a), batches(&c)), (10, 10));
+    assert_eq!(a.iter().filter(|job| job.pause).count(), 5);
+    assert!(a.iter().all(|job| !job.pause || job.spec.class == JobClass::Batch));
+    let burst = serve::burst(3, "burst");
+    assert_eq!(burst.len(), serve::BURST_JOBS);
+    assert_eq!(batches(&burst), serve::BURST_JOBS / 5);
+    assert!(burst.iter().all(|job| job.due.is_zero() && !job.pause));
 }
