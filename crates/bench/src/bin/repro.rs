@@ -1,6 +1,6 @@
 //! Regenerates the paper's tables and figures in one run and prints them in a
-//! paper-style layout. This is the program whose output is recorded in
-//! `EXPERIMENTS.md`.
+//! paper-style layout. DESIGN.md §3–§4 explain how its output relates to the
+//! paper's measurements.
 //!
 //! ```bash
 //! cargo run --release -p harvsim-bench --bin repro            # all experiments

@@ -6,8 +6,8 @@
 //! * Criterion micro/meso benchmarks live in `benches/` (one file per
 //!   experiment).
 //! * The `repro` binary (`cargo run --release -p harvsim-bench --bin repro`)
-//!   runs the full experiments once and prints paper-style tables; its output
-//!   is the source of the numbers recorded in `EXPERIMENTS.md`.
+//!   runs the full experiments once and prints paper-style tables (DESIGN.md
+//!   §3–§4 explain how they relate to the paper's measurements).
 //!
 //! Shared experiment plumbing (scenario construction and result formatting)
 //! lives in this library so the benches and the binary stay consistent.

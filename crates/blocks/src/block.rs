@@ -204,6 +204,17 @@ impl JacobianStructure {
     }
 }
 
+/// Outcome of [`StateSpaceBlock::relinearise_pwl_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PwlRestamp {
+    /// The segment signature equals the previous one: the caller's buffer
+    /// already holds this point's linearisation and was left untouched.
+    Unchanged,
+    /// The buffer was restamped; carries the new segment signature (`None`
+    /// when the block cannot encode one, which disables the skip).
+    Stamped(Option<u64>),
+}
+
 /// An analogue component block described by local state equations and terminal
 /// variables, ready for composition into the complete harvester model.
 pub trait StateSpaceBlock {
@@ -279,10 +290,10 @@ pub trait StateSpaceBlock {
     /// Returning `Some(s)` is a promise: any two calls to
     /// [`StateSpaceBlock::linearise_into`] whose signatures are both `s`
     /// produce bit-identical outputs. The assembler uses that promise on the
-    /// relinearisation hot path to skip the block's whole scatter + Eq. 3
-    /// monitor scan when the signature has not moved since the last stamp
-    /// (the dominant remaining per-step cost of the Dickson multiplier —
-    /// ROADMAP item b). The default returns `None`, which disables the skip
+    /// relinearisation hot path (through
+    /// [`StateSpaceBlock::relinearise_pwl_into`]) to skip the block's whole
+    /// scatter + Eq. 3 monitor scan when the signature has not moved since
+    /// the last stamp. The default returns `None`, which disables the skip
     /// and keeps every existing block correct unchanged; blocks must also
     /// return `None` whenever they cannot encode their state exactly (e.g.
     /// too many devices or segments for the packing).
@@ -290,33 +301,35 @@ pub trait StateSpaceBlock {
         None
     }
 
-    /// Fused stamp: [`StateSpaceBlock::linearise_into`] plus the
-    /// [`StateSpaceBlock::pwl_signature`] of the same point, returned from
-    /// one pass. Blocks whose stamp already performs the per-device segment
-    /// lookups (the Dickson multiplier) override this so the signature costs
-    /// no second lookup; the default simply calls both. Implementations must
-    /// keep it equivalent to calling the two methods separately.
-    fn linearise_into_with_signature(
+    /// Relinearisation under the [`JacobianStructure::Pwl`] contract, given
+    /// the signature of the previous stamp (`None` when there is none):
+    /// computes the [`StateSpaceBlock::pwl_signature`] at `(t, x, y)` and,
+    /// when it equals `previous`, returns [`PwlRestamp::Unchanged`] without
+    /// touching `out` (the contract guarantees a restamp would reproduce the
+    /// values already there bit for bit); otherwise stamps `out` exactly as
+    /// [`StateSpaceBlock::linearise_into`] would and returns the new
+    /// signature.
+    ///
+    /// One call per block and accepted solver step on the relinearisation
+    /// hot path, so blocks with table lookups override it to use `previous`
+    /// as a lookup hint: a device usually stays in, or moves one segment
+    /// from, the segment it occupied at the last step (the Dickson
+    /// multiplier walks each diode from its previous segment). The default
+    /// computes the signature and stamps separately.
+    fn relinearise_pwl_into(
         &self,
         t: f64,
         x: &DVector,
         y: &DVector,
+        previous: Option<u64>,
         out: &mut LocalLinearisation,
-    ) -> Option<u64> {
+    ) -> PwlRestamp {
+        let signature = self.pwl_signature(t, x, y);
+        if signature.is_some() && signature == previous {
+            return PwlRestamp::Unchanged;
+        }
         self.linearise_into(t, x, y, out);
-        self.pwl_signature(t, x, y)
-    }
-
-    /// Cheap test that `signature` — previously returned by this block for an
-    /// earlier operating point — is still the signature at `(t, x, y)`,
-    /// without recomputing it. Must be exactly equivalent to
-    /// `self.pwl_signature(t, x, y) == Some(signature)`; the payoff is that a
-    /// membership test ("is every device still inside its recorded segment?")
-    /// needs only comparisons where recomputing indices would pay a lookup
-    /// per device. This runs once per accepted solver step on the
-    /// relinearisation hot path.
-    fn pwl_signature_matches(&self, t: f64, x: &DVector, y: &DVector, signature: u64) -> bool {
-        self.pwl_signature(t, x, y) == Some(signature)
+        PwlRestamp::Stamped(signature)
     }
 
     /// Refreshes only the affine terms `e`/`g` of `out` at `(t, x, y)`,

@@ -35,7 +35,9 @@
 
 use harvsim_linalg::DVector;
 
-use crate::block::{BlockError, JacobianStructure, LocalLinearisation, StateSpaceBlock};
+use crate::block::{
+    BlockError, JacobianStructure, LocalLinearisation, PwlRestamp, StateSpaceBlock,
+};
 use crate::diode::DiodeModel;
 use crate::params::HarvesterParameters;
 
@@ -196,11 +198,10 @@ impl DicksonMultiplier {
 
     /// Walks every diode's operating-point voltage `V_{d,i} = n_{i−1} − n_i`
     /// (1-based diode index), recovering the node voltages from the state
-    /// slice exactly once. This is the single definition the stamp, the
-    /// signature computation and the signature membership test all share —
-    /// the stamp-skip contract ("equal signature ⇒ bit-identical stamp")
-    /// requires all three to see identical voltages, so the recovery must
-    /// not be allowed to drift between copies.
+    /// slice exactly once. This is the single definition the stamp and the
+    /// signature computation share — the stamp-skip contract ("equal
+    /// signature ⇒ bit-identical stamp") requires both to see identical
+    /// voltages, so the recovery must not be allowed to drift between copies.
     #[inline]
     fn for_each_diode_voltage(&self, xs: &[f64], mut visit: impl FnMut(usize, f64)) {
         let n = self.stages;
@@ -221,77 +222,114 @@ impl DicksonMultiplier {
             && self.diode.total_segments() < (1 << SEGMENT_BITS)
     }
 
-    /// Stamps the linearisation into `out` using the given per-diode companion
-    /// scratch (1-based, with a zero sentinel at index `stages + 1`), and
-    /// returns the PWL segment signature of the point when the configuration
-    /// supports one — computed from the *same* per-diode segment lookups the
-    /// companions need, so the signature is free. Shared by the
-    /// stack-buffered hot path and the heap fallback of
-    /// [`StateSpaceBlock::linearise_into`].
-    fn stamp_linearisation(
+    /// Looks up every diode's companion pair and stamps the linearisation
+    /// into `out` — or, under a matching `previous` segment signature, leaves
+    /// `out` alone. In table mode each diode costs one segment lookup, walked
+    /// from its segment in `previous` when one is given (a diode mostly stays
+    /// in its segment or moves to a neighbour between steps), and the same
+    /// lookups pack the signature, so tracking it is free. Uses the caller's
+    /// 1-based per-diode scratch (a zero sentinel at index `stages + 1`), so
+    /// the stack-buffered hot path and the heap fallback of
+    /// [`StateSpaceBlock::relinearise_pwl_into`] share one body.
+    fn relinearise_with(
         &self,
         x: &DVector,
+        previous: Option<u64>,
+        segments: &mut [usize],
         conductance: &mut [f64],
         companion: &mut [f64],
         out: &mut LocalLinearisation,
-    ) -> Option<u64> {
+    ) -> PwlRestamp {
+        let n = self.stages;
+        if self.exact_companions {
+            self.for_each_diode_voltage(x.as_slice(), |i, vd| {
+                (conductance[i], companion[i]) = self.diode.exact_companion(vd);
+            });
+            self.stamp_linearisation(conductance, companion, out);
+            return PwlRestamp::Stamped(None);
+        }
+        let fits = self.signature_fits();
+        let hints = previous.filter(|_| fits);
+        let mut packed = 0u64;
+        self.for_each_diode_voltage(x.as_slice(), |i, vd| {
+            segments[i] = match hints {
+                Some(bits) => {
+                    let hint =
+                        (bits >> ((n - i) * SEGMENT_BITS)) as usize & ((1 << SEGMENT_BITS) - 1);
+                    self.diode.companion_segment_from(hint, vd)
+                }
+                None => self.diode.companion_segment(vd),
+            };
+            packed = (packed << SEGMENT_BITS) | segments[i] as u64;
+        });
+        let signature = fits.then_some(packed);
+        if signature.is_some() && signature == previous {
+            return PwlRestamp::Unchanged;
+        }
+        for i in 1..=n {
+            (conductance[i], companion[i]) = self.diode.companion_in_segment(segments[i]);
+        }
+        self.stamp_linearisation(conductance, companion, out);
+        PwlRestamp::Stamped(signature)
+    }
+
+    /// Stamps the linearisation into `out` from the per-diode companion pairs
+    /// `(G_i, J_i)` (1-based scratch).
+    fn stamp_linearisation(
+        &self,
+        conductance: &[f64],
+        companion: &[f64],
+        out: &mut LocalLinearisation,
+    ) {
         let n = self.stages;
         let cap = self.stage_capacitance;
         let cin = self.input_capacitance;
         out.clear();
 
-        // Companion model (G_i, J_i) of every diode at the present operating
-        // point, reading the state through one slice borrow. In table mode
-        // each diode costs one segment lookup, shared between the chord read
-        // and the signature packing.
-        let mut signature = if self.signature_fits() { Some(0u64) } else { None };
-        self.for_each_diode_voltage(x.as_slice(), |i, vd| {
-            let (g, j) = if self.exact_companions {
-                self.diode.exact_companion(vd)
-            } else {
-                let segment = self.diode.companion_segment(vd);
-                if let Some(bits) = signature.as_mut() {
-                    *bits = (*bits << SEGMENT_BITS) | segment as u64;
-                }
-                self.diode.companion_in_segment(segment)
-            };
-            conductance[i] = g;
-            companion[i] = j;
-        });
-
         // Partial derivatives of the diode current i_i = G_i·(n_{i-1} - n_i) + J_i
         // with node voltages n_i = V_i + s_i·V_rail (V_rail is state index n):
         //   ∂i_i/∂V_{i-1}  = +G_i, ∂i_i/∂V_i = -G_i,
         //   ∂i_i/∂V_rail   = G_i·(s_{i-1} - s_i).
+        //
+        // Each diode's quotients G_i/C and J_i/C are divided once and shared
+        // by its entries, bit for bit: (−G)/C is −(G/C) exactly, and the
+        // rail-coefficient differences are −1, +0 or 1, so (G·d)/C equals
+        // d·(G/C) and ((−G)·d)/C equals −(d·(G/C)), signed zeros included.
         let rail = |i: usize| self.rail_coefficient(i);
 
+        let mut g_in = conductance[1] / cap;
+        let mut j_in = companion[1] / cap;
         for row in 1..=n {
             let r = row - 1;
-            let g_in = conductance[row];
-            let g_out = if row < n { conductance[row + 1] } else { 0.0 };
+            let (g_out, j_out) = if row < n {
+                (conductance[row + 1] / cap, companion[row + 1] / cap)
+            } else {
+                (0.0, 0.0)
+            };
             // All of row `r`'s stamps land in one mutable row slice.
             let a_row = out.a.row_mut(r);
 
             // Inflow diode D_row.
             if row >= 2 {
-                a_row[row - 2] += g_in / cap;
+                a_row[row - 2] += g_in;
             }
-            a_row[r] += -g_in / cap;
-            a_row[n] += g_in * (rail(row - 1) - rail(row)) / cap;
-            out.e[r] += companion[row] / cap;
+            a_row[r] += -g_in;
+            a_row[n] += (rail(row - 1) - rail(row)) * g_in;
+            out.e[r] += j_in;
 
             // Outflow diode D_{row+1}.
             if row < n {
-                a_row[r] += -g_out / cap;
-                a_row[row] += g_out / cap;
-                a_row[n] += -g_out * (rail(row) - rail(row + 1)) / cap;
-                out.e[r] -= companion[row + 1] / cap;
+                a_row[r] += -g_out;
+                a_row[row] += g_out;
+                a_row[n] += -((rail(row) - rail(row + 1)) * g_out);
+                out.e[r] -= j_out;
             }
 
             // Output current leaves the final node.
             if row == n {
                 out.b.add_to(r, 3, -1.0 / cap);
             }
+            (g_in, j_in) = (g_out, j_out);
         }
 
         // Rail state equation: C_in·dV_rail/dt = Im + Σ_{pump i} (i_i − i_{i+1}).
@@ -307,20 +345,20 @@ impl DicksonMultiplier {
                 continue;
             }
             // + i_i terms.
-            let g_in = conductance[i];
+            let (g_in, j_in) = (conductance[i] / cin, companion[i] / cin);
             if i >= 2 {
-                a_rail[i - 2] += g_in / cin;
+                a_rail[i - 2] += g_in;
             }
-            a_rail[i - 1] += -g_in / cin;
-            a_rail[n] += g_in * (rail(i - 1) - rail(i)) / cin;
-            e_rail += companion[i] / cin;
+            a_rail[i - 1] += -g_in;
+            a_rail[n] += (rail(i - 1) - rail(i)) * g_in;
+            e_rail += j_in;
             // − i_{i+1} terms.
             if i < n {
-                let g_out = conductance[i + 1];
-                a_rail[i - 1] += -g_out / cin;
-                a_rail[i] += g_out / cin;
-                a_rail[n] += -g_out * (rail(i) - rail(i + 1)) / cin;
-                e_rail -= companion[i + 1] / cin;
+                let (g_out, j_out) = (conductance[i + 1] / cin, companion[i + 1] / cin);
+                a_rail[i - 1] += -g_out;
+                a_rail[i] += g_out;
+                a_rail[n] += -((rail(i) - rail(i + 1)) * g_out);
+                e_rail -= j_out;
             }
         }
         out.e[n] += e_rail;
@@ -332,7 +370,6 @@ impl DicksonMultiplier {
         // Constraint 2: Vm - V_rail = 0 (the port voltage is the rail state).
         out.d[(1, 0)] = 1.0;
         out.c[(1, n)] = -1.0;
-        signature
     }
 }
 
@@ -388,48 +425,40 @@ impl StateSpaceBlock for DicksonMultiplier {
     }
 
     fn linearise_into(&self, t: f64, x: &DVector, y: &DVector, out: &mut LocalLinearisation) {
-        self.linearise_into_with_signature(t, x, y, out);
+        self.relinearise_pwl_into(t, x, y, None, out);
     }
 
-    /// Fused stamp + signature: the per-diode segment lookups the companion
-    /// chords need also produce the packed signature, so tracking it costs
-    /// nothing over a plain stamp.
-    fn linearise_into_with_signature(
+    /// Hinted relinearisation: every diode's segment lookup starts from its
+    /// segment in `previous`, and the lookups that feed the companion chords
+    /// also produce the signature the skip compares.
+    fn relinearise_pwl_into(
         &self,
         _t: f64,
         x: &DVector,
         _y: &DVector,
+        previous: Option<u64>,
         out: &mut LocalLinearisation,
-    ) -> Option<u64> {
+    ) -> PwlRestamp {
         let n = self.stages;
         if n <= MAX_STACK_STAGES {
             // 1-based scratch with a zero sentinel at n+1, on the stack.
+            let mut segments = [0; MAX_STACK_STAGES + 2];
             let mut conductance = [0.0; MAX_STACK_STAGES + 2];
             let mut companion = [0.0; MAX_STACK_STAGES + 2];
-            self.stamp_linearisation(x, &mut conductance[..n + 2], &mut companion[..n + 2], out)
+            self.relinearise_with(
+                x,
+                previous,
+                &mut segments[..n + 2],
+                &mut conductance[..n + 2],
+                &mut companion[..n + 2],
+                out,
+            )
         } else {
+            let mut segments = vec![0; n + 2];
             let mut conductance = vec![0.0; n + 2];
             let mut companion = vec![0.0; n + 2];
-            self.stamp_linearisation(x, &mut conductance, &mut companion, out)
+            self.relinearise_with(x, previous, &mut segments, &mut conductance, &mut companion, out)
         }
-    }
-
-    /// Lookup-free signature validity: every diode voltage must still lie in
-    /// the table segment recorded in `signature` — two comparisons per diode,
-    /// no index computation. Exactly equivalent to recomputing the signature
-    /// and comparing (the membership test mirrors the index clamping).
-    fn pwl_signature_matches(&self, _t: f64, x: &DVector, _y: &DVector, signature: u64) -> bool {
-        if !self.signature_fits() {
-            return false;
-        }
-        let n = self.stages;
-        let mut matches = true;
-        self.for_each_diode_voltage(x.as_slice(), |i, vd| {
-            let segment =
-                (signature >> ((n - i) * SEGMENT_BITS)) as usize & ((1 << SEGMENT_BITS) - 1);
-            matches = matches && self.diode.segment_contains(segment, vd);
-        });
-        matches
     }
 
     /// The diode companion conductances come from piecewise-linear lookup
@@ -709,6 +738,73 @@ mod tests {
         let mut wide = multiplier();
         wide.set_diode(fine);
         assert_eq!(wide.pwl_signature(0.0, &x_a, &y), None);
+    }
+
+    /// The hinted relinearisation is exact: along a trajectory that drives
+    /// every diode through the knee, it reports `Unchanged` exactly when the
+    /// fresh signature equals the previous one, and otherwise stamps what a
+    /// fresh linearisation stamps; arbitrary (even garbage) previous
+    /// signatures change neither outcome.
+    #[test]
+    fn hinted_relinearisation_matches_a_fresh_stamp() {
+        let m = multiplier();
+        let y = DVector::from_slice(&[1.5, 0.0, 1.9, 1e-5]);
+        let point = |k: usize| {
+            let phase = k as f64 * 2e-3;
+            let rail = 2.0 * (2.0 * std::f64::consts::PI * phase).sin();
+            DVector::from_slice(&[
+                -0.5 + 0.1 * phase,
+                1.2 + 0.05 * (3.0 * phase).sin(),
+                0.8 + 0.1 * phase,
+                2.4,
+                2.5 - 0.05 * (5.0 * phase).cos(),
+                rail,
+            ])
+        };
+        let mut previous = None;
+        let mut out = LocalLinearisation::zeros(6, 4, 2);
+        let (mut unchanged, mut stamped) = (0, 0);
+        for k in 0..4000 {
+            let x = point(k);
+            let fresh = m.linearise(0.0, &x, &y);
+            let signature = m.pwl_signature(0.0, &x, &y);
+            match m.relinearise_pwl_into(0.0, &x, &y, previous, &mut out) {
+                PwlRestamp::Unchanged => {
+                    assert_eq!(signature, previous, "step {k}");
+                    unchanged += 1;
+                }
+                PwlRestamp::Stamped(new) => {
+                    assert_eq!(new, signature, "step {k}");
+                    assert!(previous.is_none() || new != previous, "step {k}");
+                    previous = new;
+                    stamped += 1;
+                }
+            }
+            assert_eq!(out, fresh, "step {k}");
+
+            for garbage in [0, u64::MAX, 0x0123_4567_89ab_cdef, signature.unwrap() ^ 1] {
+                let mut probe = LocalLinearisation::zeros(6, 4, 2);
+                match m.relinearise_pwl_into(0.0, &x, &y, Some(garbage), &mut probe) {
+                    PwlRestamp::Unchanged => assert_eq!(Some(garbage), signature),
+                    PwlRestamp::Stamped(new) => {
+                        assert_eq!(new, signature);
+                        assert_eq!(probe, fresh);
+                    }
+                }
+            }
+        }
+        assert!(unchanged > 100 && stamped > 100, "{unchanged} skips / {stamped} stamps");
+
+        // Exact-evaluation mode always stamps and never signs.
+        let mut exact = multiplier();
+        exact.set_exact_companions(true);
+        let x = point(7);
+        let mut out = LocalLinearisation::zeros(6, 4, 2);
+        assert_eq!(
+            exact.relinearise_pwl_into(0.0, &x, &y, Some(0), &mut out),
+            PwlRestamp::Stamped(None)
+        );
+        assert_eq!(out, exact.linearise(0.0, &x, &y));
     }
 
     #[test]

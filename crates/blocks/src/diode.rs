@@ -424,27 +424,46 @@ impl DiodeModel {
         self.grid.segment_index(vd)
     }
 
+    /// [`DiodeModel::companion_segment`] starting from a guess: tests the
+    /// segment `hint` (typically the one the diode occupied at the previous
+    /// step), then its two neighbours, with two comparisons each, and falls
+    /// back to the closed-form lookup when none contains `vd`. The
+    /// breakpoints determine the segment uniquely — the extrapolation
+    /// regions belong to the first/last segment, mirroring the index
+    /// clamping — so the result equals `companion_segment(vd)` for every
+    /// `hint` (out-of-range hints included); only the cost depends on it.
+    pub fn companion_segment_from(&self, hint: usize, vd: f64) -> usize {
+        let points = self.grid.table().breakpoints();
+        let last = points.len() - 2;
+        let contains = |segment: usize| {
+            (segment == 0 || vd >= points[segment].0)
+                && (segment >= last || vd < points[segment + 1].0)
+        };
+        if hint <= last {
+            if contains(hint) {
+                return hint;
+            }
+            if hint > 0 && contains(hint - 1) {
+                return hint - 1;
+            }
+            if hint < last && contains(hint + 1) {
+                return hint + 1;
+            }
+        }
+        self.grid.segment_index(vd)
+    }
+
     /// Companion pair of a known segment (skipping the index lookup): the
     /// chord of table segment `segment`. Pair with
     /// [`DiodeModel::companion_segment`] /
-    /// [`DiodeModel::segment_contains`] on paths that track segments
-    /// explicitly (the Dickson multiplier's fused stamp-and-signature pass).
+    /// [`DiodeModel::companion_segment_from`] on paths that track segments
+    /// explicitly (the Dickson multiplier's hinted relinearisation).
     ///
     /// # Panics
     ///
     /// Panics if `segment >= self.total_segments()`.
     pub fn companion_in_segment(&self, segment: usize) -> (f64, f64) {
         self.grid.table().segment_chord(segment)
-    }
-
-    /// Whether [`DiodeModel::companion_segment`] at `vd` would return
-    /// `segment` — a pure membership test (two comparisons), no lookup. The
-    /// extrapolation regions belong to the first/last segment, mirroring the
-    /// index clamping.
-    pub fn segment_contains(&self, segment: usize, vd: f64) -> bool {
-        let points = self.grid.table().breakpoints();
-        let last = points.len() - 2;
-        (segment == 0 || vd >= points[segment].0) && (segment >= last || vd < points[segment + 1].0)
     }
 
     /// *Exact* companion pair `(G, J)` from the analytic Shockley equations
@@ -539,6 +558,65 @@ mod tests {
         let (g, j) = d.companion(0.31);
         let err = (g * 0.31 + j - d.current(0.31)).abs();
         assert!(err < 1e-7 + 0.05 * d.current(0.31).abs(), "chord error {err}");
+    }
+
+    /// The hinted walk is an exact lookup: from any hint — the right
+    /// segment, a neighbour, a distant or out-of-range one — it returns what
+    /// the closed-form index returns, on every breakpoint and one ulp either
+    /// side of it, inside and outside the table domain, for both grid kinds.
+    #[test]
+    fn hinted_segment_walk_matches_the_closed_form_lookup() {
+        let knee = DiodeModel::schottky().unwrap();
+        let coarse = knee.with_table_segments(16).unwrap();
+        // A range that starts above the knee grid's reverse zone falls back
+        // to the uniform grid.
+        let uniform = DiodeModel::new(1e-6, 0.02585, 1.05, (-0.1, 0.6), 300).unwrap();
+        assert!(matches!(uniform.grid, TableGrid::Uniform(_)));
+        assert!(matches!(knee.grid, TableGrid::KneeLog { .. }));
+        for model in [&knee, &coarse, &uniform] {
+            let points = model.grid.table().breakpoints();
+            let last = model.total_segments() - 1;
+            let mut voltages = vec![
+                f64::NEG_INFINITY,
+                f64::MIN,
+                -1e3,
+                -0.0,
+                0.0,
+                1e3,
+                f64::MAX,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            for &(v, _) in points {
+                voltages.extend([v.next_down(), v, v.next_up()]);
+            }
+            for w in points.windows(2) {
+                voltages.push(0.5 * (w[0].0 + w[1].0));
+            }
+            for &vd in &voltages {
+                let expected = model.companion_segment(vd);
+                let hints = [
+                    0,
+                    1,
+                    expected.saturating_sub(2),
+                    expected.saturating_sub(1),
+                    expected,
+                    expected + 1,
+                    expected + 2,
+                    last / 2,
+                    last,
+                    last + 1,
+                    usize::MAX,
+                ];
+                for hint in hints {
+                    assert_eq!(
+                        model.companion_segment_from(hint, vd),
+                        expected,
+                        "vd = {vd:e}, hint {hint}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

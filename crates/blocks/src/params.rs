@@ -9,7 +9,7 @@
 //! tabulated in the paper, so the defaults below are chosen to reproduce the
 //! published operating point: ≈110–120 µW RMS generated power at 70 Hz under
 //! ≈0.06 g ambient acceleration, an open-circuit EMF of a couple of volts, and
-//! the load currents of Eq. 16. `EXPERIMENTS.md` records how the resulting
+//! the load currents of Eq. 16. DESIGN.md §3 discusses how the resulting
 //! waveforms compare to the paper's figures.
 
 use crate::block::BlockError;

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 
 use harvsim_blocks::block::LocalLinearisation;
-use harvsim_blocks::{JacobianStructure, StateSpaceBlock};
+use harvsim_blocks::{JacobianStructure, PwlRestamp, StateSpaceBlock};
 use harvsim_linalg::{dot_unrolled, DMatrix, DVector, LuDecomposition};
 
 use crate::CoreError;
@@ -37,8 +37,7 @@ pub struct StampReport {
     /// (scatter, monitor scan and affine refresh) was skipped this pass
     /// because their [`StateSpaceBlock::pwl_signature`] matched the signature
     /// of the values already in the buffer — the segment set is unchanged, so
-    /// the contract guarantees a restamp would be bit-identical (ROADMAP item
-    /// b: the Dickson relinearise scatter).
+    /// the contract guarantees a restamp would be bit-identical.
     pub pwl_stamps_skipped: usize,
 }
 
@@ -835,8 +834,18 @@ impl Assembly {
             for (i, &net) in slot.terminal_nets.iter().enumerate() {
                 buffers.y[i] = y[net];
             }
-            let signature =
-                block.linearise_into_with_signature(t, &buffers.x, &buffers.y, &mut buffers.lin);
+            let signature = if slot.structure == JacobianStructure::Pwl {
+                match block.relinearise_pwl_into(t, &buffers.x, &buffers.y, None, &mut buffers.lin)
+                {
+                    PwlRestamp::Stamped(signature) => signature,
+                    // Without a previous signature nothing can match, so the
+                    // contract always stamps.
+                    PwlRestamp::Unchanged => None,
+                }
+            } else {
+                block.linearise_into(t, &buffers.x, &buffers.y, &mut buffers.lin);
+                None
+            };
             let lin = &buffers.lin;
             debug_assert!(
                 lin.is_consistent(),
@@ -854,8 +863,7 @@ impl Assembly {
                 buffers.static_scale =
                     jac_max(&lin.a).max(jac_max(&lin.b)).max(jac_max(&lin.c)).max(jac_max(&lin.d));
             }
-            buffers.signature =
-                if slot.structure == JacobianStructure::Pwl { signature } else { None };
+            buffers.signature = signature;
             buffers.stamped = true;
 
             if self.scatter_by_copy {
@@ -976,45 +984,15 @@ impl Assembly {
         }
         let mut scratch = self.scratch.borrow_mut();
 
-        // Two accumulator groups over (max |new|, max |new − old|): four fixed
-        // lanes fed by the contiguous row kernel below, plus one scalar pair
-        // for the net-scattered entries. Maxima are order-independent, so the
-        // combined result is exact.
+        // The monitor's two maxima, max |new| and max |new − old|, each in
+        // four fixed lanes: contiguous rows feed lane `column mod 4`,
+        // net-scattered entries lane `terminal mod 4`. Each restamped block accumulates its scale in
+        // lanes of its own, whose maximum is the block's cached
+        // `static_scale` — no second pass over its Jacobians. Maxima are
+        // exact and order-independent, so the result is bit-identical to a
+        // serial scan.
         let mut scale = [0.0_f64; 4];
         let mut diff = [0.0_f64; 4];
-        // Contiguous row stamp: overwrite `dst` with `new` while accumulating
-        // the two monitor maxima in fixed four-wide lanes (the pattern the
-        // autovectoriser packs — no variable lane indexing on the hot path).
-        let mut stamp_row = |dst: &mut [f64], new: &[f64]| {
-            let mut dst_chunks = dst.chunks_exact_mut(4);
-            let mut new_chunks = new.chunks_exact(4);
-            for (d, s) in (&mut dst_chunks).zip(&mut new_chunks) {
-                for lane in 0..4 {
-                    let old = d[lane];
-                    d[lane] = s[lane];
-                    scale[lane] = scale[lane].max(s[lane].abs());
-                    diff[lane] = diff[lane].max((s[lane] - old).abs());
-                }
-            }
-            for (lane, (d, &s)) in
-                dst_chunks.into_remainder().iter_mut().zip(new_chunks.remainder()).enumerate()
-            {
-                let old = std::mem::replace(d, s);
-                scale[lane & 3] = scale[lane & 3].max(s.abs());
-                diff[lane & 3] = diff[lane & 3].max((s - old).abs());
-            }
-        };
-        let mut scale_scattered = 0.0_f64;
-        let mut diff_scattered = 0.0_f64;
-        macro_rules! stamp {
-            ($dst:expr, $new:expr) => {{
-                let new = $new;
-                let old = std::mem::replace($dst, new);
-                scale_scattered = scale_scattered.max(new.abs());
-                diff_scattered = diff_scattered.max((new - old).abs());
-            }};
-        }
-
         let mut constant_stamps_skipped = 0_usize;
         let mut pwl_stamps_skipped = 0_usize;
         for ((slot, block), buffers) in self.slots.iter().zip(blocks).zip(scratch.iter_mut()) {
@@ -1033,73 +1011,153 @@ impl Assembly {
                 for row in 0..slot.constraint_count {
                     out.gy[slot.constraint_offset + row] = buffers.lin.g[row];
                 }
-                scale_scattered = scale_scattered.max(buffers.static_scale);
+                scale[0] = scale[0].max(buffers.static_scale);
                 constant_stamps_skipped += 1;
                 continue;
             }
 
-            if slot.structure == JacobianStructure::Pwl && buffers.stamped {
-                // Pwl contract: when the block's segment signature is
-                // unchanged since the values in `out` were stamped, the
-                // contract guarantees a restamp would reproduce them bit for
-                // bit — Jacobians *and* affine terms — so the whole stamp is
-                // skipped. The check is the lookup-free membership test
-                // (`pwl_signature_matches`), the monitor sees a zero diff and
-                // the cached scale, exactly as a full restamp would report.
-                if let Some(signature) = buffers.signature {
-                    if block.pwl_signature_matches(t, &buffers.x, &buffers.y, signature) {
-                        scale_scattered = scale_scattered.max(buffers.static_scale);
+            if slot.structure == JacobianStructure::Pwl {
+                // Pwl contract: one call looks the segments up (hinted by the
+                // previous signature) and restamps only when the signature
+                // moved. When it did not, the contract guarantees a restamp
+                // would reproduce the values in `out` bit for bit — Jacobians
+                // *and* affine terms — so the monitor sees a zero diff and the
+                // cached scale, exactly as a full restamp would report.
+                let previous = if buffers.stamped { buffers.signature } else { None };
+                match block.relinearise_pwl_into(
+                    t,
+                    &buffers.x,
+                    &buffers.y,
+                    previous,
+                    &mut buffers.lin,
+                ) {
+                    PwlRestamp::Unchanged => {
+                        scale[0] = scale[0].max(buffers.static_scale);
                         pwl_stamps_skipped += 1;
                         continue;
                     }
+                    PwlRestamp::Stamped(signature) => buffers.signature = signature,
                 }
+            } else {
+                block.linearise_into(t, &buffers.x, &buffers.y, &mut buffers.lin);
             }
-
-            let signature =
-                block.linearise_into_with_signature(t, &buffers.x, &buffers.y, &mut buffers.lin);
             let lin = &buffers.lin;
             debug_assert!(
                 lin.is_consistent(),
                 "block {} returned inconsistent matrices",
                 slot.name
             );
-            if slot.structure == JacobianStructure::Pwl {
-                // Refresh the cached signature and scale so the next
-                // membership-matched skip folds in this stamp's maximum.
-                buffers.signature = signature;
-                let jac_max =
-                    |m: &DMatrix| m.as_slice().iter().fold(0.0_f64, |a, v| a.max(v.abs()));
-                buffers.static_scale =
-                    jac_max(&lin.a).max(jac_max(&lin.b)).max(jac_max(&lin.c)).max(jac_max(&lin.d));
-            }
 
+            let mut block_scale = [0.0_f64; 4];
             for row in 0..slot.state_count {
                 let global_row = slot.state_offset + row;
-                stamp_row(&mut out.jxx.row_mut(global_row)[states.clone()], lin.a.row(row));
-                let jxy_row = out.jxy.row_mut(global_row);
-                let b_row = lin.b.row(row);
-                for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                    stamp!(&mut jxy_row[net], b_row[local_terminal]);
-                }
+                stamp_row(
+                    &mut out.jxx.row_mut(global_row)[states.clone()],
+                    lin.a.row(row),
+                    &mut block_scale,
+                    &mut diff,
+                );
+                let nets = &slot.terminal_nets;
+                let (jxy_row, b_row) = (out.jxy.row_mut(global_row), lin.b.row(row));
+                stamp_scattered(jxy_row, nets, b_row, &mut block_scale, &mut diff);
             }
             // Affine terms are not part of the Eq. 3 monitor: plain copies.
             out.ex.as_mut_slice()[states.clone()].copy_from_slice(lin.e.as_slice());
             for row in 0..slot.constraint_count {
                 let global_row = slot.constraint_offset + row;
-                stamp_row(&mut out.jyx.row_mut(global_row)[states.clone()], lin.c.row(row));
-                let jyy_row = out.jyy.row_mut(global_row);
-                let d_row = lin.d.row(row);
-                for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                    stamp!(&mut jyy_row[net], d_row[local_terminal]);
-                }
+                stamp_row(
+                    &mut out.jyx.row_mut(global_row)[states.clone()],
+                    lin.c.row(row),
+                    &mut block_scale,
+                    &mut diff,
+                );
+                let nets = &slot.terminal_nets;
+                let (jyy_row, d_row) = (out.jyy.row_mut(global_row), lin.d.row(row));
+                stamp_scattered(jyy_row, nets, d_row, &mut block_scale, &mut diff);
                 out.gy[global_row] = lin.g[row];
+            }
+            if slot.structure == JacobianStructure::Pwl {
+                // The block's lanes have seen every entry of its Jacobians,
+                // so their maximum is the scale a later skip folds in.
+                buffers.static_scale =
+                    block_scale[0].max(block_scale[1]).max(block_scale[2]).max(block_scale[3]);
+            }
+            for (lane, block_lane) in scale.iter_mut().zip(block_scale) {
+                *lane = lane.max(block_lane);
             }
         }
 
-        let scale =
-            scale[0].max(scale[1]).max(scale[2]).max(scale[3]).max(scale_scattered).max(1e-30);
-        let diff = diff[0].max(diff[1]).max(diff[2]).max(diff[3]).max(diff_scattered);
+        let scale = scale[0].max(scale[1]).max(scale[2]).max(scale[3]).max(1e-30);
+        let diff = diff[0].max(diff[1]).max(diff[2]).max(diff[3]);
         Ok(StampReport { change: diff / scale, constant_stamps_skipped, pwl_stamps_skipped })
+    }
+}
+
+/// Contiguous row stamp of the fused relinearisation: overwrites `dst` with
+/// `new` while folding `|new|` and `|new − old|` into the monitor lanes,
+/// entry `k` into lane `k mod 4`. Every lane index is a constant after
+/// inlining, so the lanes live in registers rather than on the stack.
+#[inline(always)]
+fn stamp_row(dst: &mut [f64], new: &[f64], scale: &mut [f64; 4], diff: &mut [f64; 4]) {
+    let mut dst_chunks = dst.chunks_exact_mut(4);
+    let mut new_chunks = new.chunks_exact(4);
+    for (d, s) in (&mut dst_chunks).zip(&mut new_chunks) {
+        for lane in 0..4 {
+            stamp_entry(&mut d[lane], s[lane], lane, scale, diff);
+        }
+    }
+    let (d, s) = (dst_chunks.into_remainder(), new_chunks.remainder());
+    for lane in 0..3 {
+        if lane < s.len() {
+            stamp_entry(&mut d[lane], s[lane], lane, scale, diff);
+        }
+    }
+}
+
+/// Net-scattered row stamp: entry `k` of `new` overwrites `dst[nets[k]]`
+/// and folds into lane `k mod 4`, with constant lane indices as in
+/// [`stamp_row`].
+#[inline(always)]
+fn stamp_scattered(
+    dst: &mut [f64],
+    nets: &[usize],
+    new: &[f64],
+    scale: &mut [f64; 4],
+    diff: &mut [f64; 4],
+) {
+    let mut net_chunks = nets.chunks_exact(4);
+    let mut new_chunks = new.chunks_exact(4);
+    for (n, s) in (&mut net_chunks).zip(&mut new_chunks) {
+        for lane in 0..4 {
+            stamp_entry(&mut dst[n[lane]], s[lane], lane, scale, diff);
+        }
+    }
+    let (n, s) = (net_chunks.remainder(), new_chunks.remainder());
+    for lane in 0..3 {
+        if lane < s.len() {
+            stamp_entry(&mut dst[n[lane]], s[lane], lane, scale, diff);
+        }
+    }
+}
+
+/// One entry of the fused relinearisation, folded into `lane`.
+#[inline(always)]
+fn stamp_entry(dst: &mut f64, new: f64, lane: usize, scale: &mut [f64; 4], diff: &mut [f64; 4]) {
+    let old = std::mem::replace(dst, new);
+    scale[lane] = lane_max(scale[lane], new.abs());
+    diff[lane] = lane_max(diff[lane], (new - old).abs());
+}
+
+/// `m.max(x)` for a lane maximum `m` that is never NaN and an `x` that is an
+/// absolute value: a compare-and-select, equal bit for bit to `f64::max` on
+/// these inputs (a NaN `x` keeps `m`, both are ≥ +0) without its NaN fix-up
+/// sequence on the monitor's dependency chain.
+#[inline(always)]
+fn lane_max(m: f64, x: f64) -> f64 {
+    if x > m {
+        x
+    } else {
+        m
     }
 }
 

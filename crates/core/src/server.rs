@@ -897,7 +897,8 @@ fn run_slice(
     let advanced = session.run_until_deadline(target, deadline);
     let billed = engine_time(&session).saturating_sub(billed_before);
     let time_s = session.time();
-    let steps = session.engine_stats().state_space.steps as u64;
+    let live = session.live_engine_stats();
+    let steps = (live.state_space.steps + live.baseline.steps) as u64;
     if let Err(err) = advanced {
         return SliceOutcome::Failed { detail: err.to_string(), billed, time_s, steps };
     }
@@ -945,7 +946,8 @@ fn commit_slice(shared: &ServerShared, id: &str, outcome: SliceOutcome) {
                 entry.slices += 1;
                 entry.billed += billed;
                 entry.time_s = report.time_s;
-                entry.steps = report.engine_stats.state_space.steps as u64;
+                let stats = &report.engine_stats;
+                entry.steps = (stats.state_space.steps + stats.baseline.steps) as u64;
                 entry.final_state_fnv = Some(final_state_fnv(&report));
                 entry.state = EntryState::Done;
                 entry.pause_requested = false;

@@ -511,9 +511,31 @@ impl Session {
         self.config.as_ref().and_then(|config| config.label.as_deref())
     }
 
-    /// Analogue-engine statistics accumulated over the closed segments.
+    /// Analogue-engine statistics accumulated over the closed segments —
+    /// the billing measure, which moves only when a segment closes. For
+    /// progress use [`Session::live_engine_stats`].
     pub fn engine_stats(&self) -> &EngineStats {
         &self.engine_stats
+    }
+
+    /// Analogue-engine statistics including the segment in flight: the
+    /// closed segments plus the open march's counters, with its engine time
+    /// so far billed provisionally. Current at any time, so step counts rise
+    /// with every slice even while one analogue segment spans many.
+    pub fn live_engine_stats(&self) -> EngineStats {
+        let mut stats = self.engine_stats;
+        match &self.runtime {
+            EngineRuntime::StateSpace { march: Some(march), .. } => {
+                stats.state_space.absorb(march.stats());
+                stats.state_space.cpu_time += self.pending_cpu;
+            }
+            EngineRuntime::NewtonRaphson { march: Some(march), .. } => {
+                stats.baseline.absorb(march.stats());
+                stats.baseline.cpu_time += self.pending_cpu;
+            }
+            _ => {}
+        }
+        stats
     }
 
     /// Control actions applied so far.
@@ -661,25 +683,16 @@ impl Session {
     /// accumulated engine time billed provisionally), not just the last
     /// closed segment.
     pub fn report(&self) -> SessionReport {
-        let mut engine_stats = self.engine_stats;
         let final_state = match &self.runtime {
-            EngineRuntime::StateSpace { march: Some(march), .. } => {
-                engine_stats.state_space.absorb(march.stats());
-                engine_stats.state_space.cpu_time += self.pending_cpu;
-                march.state().clone()
-            }
-            EngineRuntime::NewtonRaphson { march: Some(march), .. } => {
-                engine_stats.baseline.absorb(march.stats());
-                engine_stats.baseline.cpu_time += self.pending_cpu;
-                march.state().clone()
-            }
+            EngineRuntime::StateSpace { march: Some(march), .. } => march.state().clone(),
+            EngineRuntime::NewtonRaphson { march: Some(march), .. } => march.state().clone(),
             _ => self.x.clone(),
         };
         SessionReport {
             time_s: self.time(),
             finished: self.finished,
             final_state,
-            engine_stats,
+            engine_stats: self.live_engine_stats(),
             digital_events: self.kernel.events_processed(),
             control_events: self.control_events.clone(),
             peak_probe_bytes: self.peak_probe_bytes,

@@ -1146,8 +1146,9 @@ impl StateSpaceMarch {
             // (`A_ff`), because the stiff partition advances exactly and
             // must not constrain the explicit step — this is the whole
             // lever of the IMEX march. The stiff sub-matrix goes to the
-            // exponential kernel, whose ϕ cache survives refreshes that
-            // leave `A_ss` bit-identical.
+            // exponential kernel; on the harvester every refresh installs a
+            // changed `A_ss` (refreshes follow conduction changes), so its
+            // ϕ memo restarts here and serves the steps until the next one.
             let priced = if partitioned {
                 workspace.gather_partitions();
                 workspace.exponential.set_matrix(&workspace.a_ss);

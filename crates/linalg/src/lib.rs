@@ -20,9 +20,9 @@
 //! * [`dominance`] — diagonal-dominance tests and the largest step size `h` that
 //!   keeps `I + h·A` diagonally dominant; this is the cheap sufficient condition
 //!   the paper uses in place of an exact spectral radius.
-//! * [`expm`] — small dense matrix exponential and the ϕ₁ function, the kernels
-//!   of the exponential rail integrator that advances the stiff partition of
-//!   the state space exactly instead of explicitly.
+//! * [`expm`] — the ϕ₁/ϕ₂ matrix functions (scaling-and-squaring matrix
+//!   exponential) of the exponential rail integrator that advances the stiff
+//!   partition of the state space exactly instead of explicitly.
 //! * [`TripletBuilder`] — coordinate-format accumulation of matrix stamps, used
 //!   by the modified-nodal-analysis baseline simulator.
 //!

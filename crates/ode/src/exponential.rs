@@ -36,14 +36,14 @@
 //! mirroring exactly how the Adams–Bashforth lane regrows from order 1.
 //!
 //! [`StiffExponential`] owns the cached propagators `h·ϕ₁(h·A_ss)` and
-//! `h²·ϕ₂(h·A_ss)`: the ϕ evaluation (a 3n-dimensional matrix exponential,
-//! n ≤ 3 in practice) runs only when the step size or the stiff sub-matrix
-//! actually changes. On the settled march `h` is pinned at the governor's
-//! limit and `A_ss` only moves on relinearisation-refresh events, so
-//! steady-state steps pay a handful of fused multiply-adds per stiff state
-//! and no matrix function at all.
+//! `h²·ϕ₂(h·A_ss)`: the ϕ evaluation (the structured, allocation-free kernel
+//! of [`harvsim_linalg::expm`]; n = 2 on the assembled harvester) runs only
+//! when the step size or the stiff sub-matrix changes. On the settled march
+//! `h` is pinned at the governor's limit and `A_ss` only moves on
+//! relinearisation-refresh events, so steady-state steps pay a handful of
+//! multiply-adds per stiff state and no matrix function at all.
 
-use harvsim_linalg::expm::phi1_phi2;
+use harvsim_linalg::expm::phi1_phi2_into;
 use harvsim_linalg::DMatrix;
 
 use crate::OdeError;
@@ -62,8 +62,14 @@ pub struct StiffExponential {
     /// number a few dozen at most and an exact-match linear scan is cheaper
     /// than any hashing — and crucially the march may *oscillate* between
     /// adjacent rungs (accuracy controller pushing down, growth pushing up)
-    /// without ever re-evaluating a matrix exponential.
+    /// without ever re-evaluating a matrix exponential. Only the first
+    /// `live` entries are valid; the rest keep their buffers for reuse, so a
+    /// flush followed by a miss allocates nothing.
     cache: Vec<(f64, DMatrix, DMatrix)>,
+    /// Number of valid entries at the front of `cache`.
+    live: usize,
+    /// Scratch for `h·A_ss`, the ϕ kernel's argument.
+    scaled: DMatrix,
     /// Forcing `u = ẋ_s − A_ss·x_s` observed at the previous step start.
     prev_u: Vec<f64>,
     /// Step size that led to the previous forcing sample.
@@ -98,9 +104,12 @@ impl StiffExponential {
     }
 
     /// Installs the stiff sub-matrix `A_ss`, invalidating the cached
-    /// propagators only if the matrix actually changed (the solver calls this
-    /// on every relinearisation refresh; between load-mode switches the
-    /// interface sub-matrix is mostly bit-identical, so the cache survives).
+    /// propagators only if the matrix actually changed. The solver calls this
+    /// on every stability refresh, and on the assembled harvester the matrix
+    /// has changed every time: the refresh fires on diode conduction changes,
+    /// which move the interface sub-matrix, so the memo serves the steps
+    /// *between* refreshes, not across them (DESIGN.md §7.2 records why a
+    /// content-keyed cache across refreshes cannot pay).
     /// A genuine change also drops the coupling-slope history: the previous
     /// forcing sample was measured against the old operating point and would
     /// contaminate the `u̇` estimate (the next step runs exponential Euler,
@@ -120,14 +129,14 @@ impl StiffExponential {
         } else {
             self.a_ss = a_ss.clone();
         }
-        self.cache.clear();
+        self.live = 0;
         self.have_prev_u = false;
     }
 
     /// The loop-carried state of the kernel for checkpoint serialisation:
     /// `(A_ss, previous forcing sample, previous step, slope-basis validity)`.
     /// The ϕ propagator memo is deliberately excluded — it is pure derived
-    /// data of `(h, A_ss)` and `phi1_phi2` is deterministic, so a restored
+    /// data of `(h, A_ss)` and `phi1_phi2_into` is deterministic, so a restored
     /// kernel recomputes bit-identical propagators on first use.
     pub fn save_state(&self) -> (&DMatrix, &[f64], f64, bool) {
         (&self.a_ss, &self.prev_u, self.prev_h, self.have_prev_u)
@@ -170,7 +179,7 @@ impl StiffExponential {
         self.prev_u = prev_u;
         self.prev_h = prev_h;
         self.have_prev_u = have_prev_u;
-        self.cache.clear();
+        self.live = 0;
         self.recomputations = 0;
         Ok(())
     }
@@ -215,24 +224,39 @@ impl StiffExponential {
         // Move-to-front memo: the march mostly repeats one step size (and
         // occasionally alternates between two adjacent ladder rungs), so the
         // match is almost always at index 0 or 1.
-        match self.cache.iter().position(|(cached_h, ..)| *cached_h == h) {
+        match self.cache[..self.live].iter().position(|(cached_h, ..)| *cached_h == h) {
             Some(0) => {}
             Some(index) => self.cache.swap(0, index),
             None => {
-                let scaled = self.a_ss.scaled(h);
-                let (mut p1, mut p2) = phi1_phi2(&scaled)?;
-                p1.scale_mut(h);
-                p2.scale_mut(h * h);
+                if self.scaled.shape() != (n, n) {
+                    self.scaled = DMatrix::zeros(n, n);
+                }
+                for r in 0..n {
+                    for (s, a) in self.scaled.row_mut(r).iter_mut().zip(self.a_ss.row(r)) {
+                        *s = h * a;
+                    }
+                }
                 // The ladder bounds distinct step sizes, but an adversarial
                 // caller could feed arbitrary h values; cap the memo so it
                 // cannot grow without bound.
-                if self.cache.len() >= 64 {
-                    self.cache.clear();
+                if self.live >= 64 {
+                    self.live = 0;
                 }
-                self.cache.push((h, p1, p2));
+                if self.live == self.cache.len() {
+                    self.cache.push((0.0, DMatrix::zeros(n, n), DMatrix::zeros(n, n)));
+                }
+                let (cached_h, p1, p2) = &mut self.cache[self.live];
+                if p1.shape() != (n, n) {
+                    *p1 = DMatrix::zeros(n, n);
+                    *p2 = DMatrix::zeros(n, n);
+                }
+                phi1_phi2_into(&self.scaled, p1, p2)?;
+                p1.scale_mut(h);
+                p2.scale_mut(h * h);
+                *cached_h = h;
                 self.recomputations += 1;
-                let last = self.cache.len() - 1;
-                self.cache.swap(0, last);
+                self.cache.swap(0, self.live);
+                self.live += 1;
             }
         }
         // Invariant after the match above: the propagators for `h` sit at

@@ -274,6 +274,54 @@ fn pause_resume_cancel_are_idempotent_state_transitions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `status` reports live progress: a job preempted every 2 ms inside one
+/// long analogue segment shows non-zero step counts that never decrease from
+/// slice to slice, and the finished job reports the run's full total.
+#[test]
+fn status_steps_are_live_and_monotone_across_slices() {
+    let dir = unique_dir("steps");
+    let server = start_server(
+        &dir,
+        ServerOptions { workers: Some(1), slice_s: 0.002, ..ServerOptions::default() },
+    );
+    let spec = long_spec("steps-live", JobClass::Batch);
+    assert!(matches!(server.execute(Command::Submit(spec.clone())), Response::Submitted { .. }));
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut mid_run = Vec::new();
+    let done = loop {
+        let info = match server.execute(Command::Status { id: "steps-live".into() }) {
+            Response::Status(info) => info,
+            other => panic!("status answered {other:?}"),
+        };
+        if info.state == WireState::Done {
+            break info;
+        }
+        if info.time_s > 0.0 {
+            mid_run.push((info.time_s, info.steps));
+        }
+        assert!(Instant::now() < deadline, "timed out; last status {info:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+
+    assert!(mid_run.len() >= 3, "too few mid-run observations: {mid_run:?}");
+    for &(time_s, steps) in &mid_run {
+        assert!(steps > 0, "t = {time_s} s reported steps = 0");
+    }
+    for pair in mid_run.windows(2) {
+        assert!(pair[1].1 >= pair[0].1, "steps went backwards: {pair:?}");
+    }
+    let mut reference = spec.simulation().start().expect("start reference");
+    reference.run_to_end().expect("run reference");
+    let total = reference.report().engine_stats.state_space.steps as u64;
+    assert_eq!(done.steps, total);
+    assert!(mid_run.iter().all(|&(_, steps)| steps <= total));
+
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn admission_control_sheds_typed_and_recovers_capacity() {
     let dir = unique_dir("overload");
