@@ -6,11 +6,15 @@ Structural checks — all deterministic, no retries needed:
   carries its index/label/status (+ metrics when completed, error when
   failed), and every summary names its objective;
 * conservation: offered == completed + failed + skipped, the row count is
-  completed + failed, and warm_hits + cold_starts equals the points
-  executed this run (rows minus resumed);
+  completed + failed, and warm_hits (points forked from a shared prefix) +
+  cold_starts (points run from t = 0) equals the points executed this run
+  (rows minus resumed);
+* fork saving: steps_executed (engine steps actually marched) is at most
+  the executed rows' trajectory steps, and equal to them when nothing was
+  forked;
 * the Pareto front is non-empty and every front index is a *completed* row;
 * with --require-warm (the first full run of the smoke job): the scheduler
-  actually fanned out (threads_used > 1) and warm starts actually happened
+  actually fanned out (threads_used > 1) and forks actually happened
   (warm_hits > 0);
 * with --require-resumed (the post-kill --resume pass): at least one row
   was recovered from the result store instead of recomputed.
@@ -45,6 +49,7 @@ HEADER_KEYS = [
     "steals",
     "warm_hits",
     "cold_starts",
+    "steps_executed",
     "resumed",
     "dropped_regions",
     "points",
@@ -102,6 +107,22 @@ if record["warm_hits"] + record["cold_starts"] != executed:
         f"!= executed rows {executed}"
     )
 
+executed_steps = sum(
+    point["steps"]
+    for point in record["points"]
+    if point["status"] == "completed" and not point["resumed"]
+)
+if record["steps_executed"] > executed_steps:
+    sys.exit(
+        f"steps_executed {record['steps_executed']} exceeds the executed rows' "
+        f"steps {executed_steps}"
+    )
+if record["warm_hits"] == 0 and record["steps_executed"] != executed_steps:
+    sys.exit(
+        f"nothing was forked, yet steps_executed {record['steps_executed']} "
+        f"!= the executed rows' steps {executed_steps}"
+    )
+
 front = record["pareto_front"]
 if not front:
     sys.exit("the Pareto front is empty")
@@ -118,14 +139,15 @@ if require_warm:
     if record["threads_used"] <= 1:
         sys.exit(f"threads_used {record['threads_used']} <= 1 — no fan-out")
     if record["warm_hits"] <= 0:
-        sys.exit("warm_hits == 0 — warm starts never happened")
+        sys.exit("warm_hits == 0 — no point was forked from a shared prefix")
 if require_resumed and record["resumed"] <= 0:
     sys.exit("resumed == 0 — the --resume pass recomputed everything")
 
 print(
     f"gate passed: {completed}/{offered} completed ({failed} failed, "
     f"{skipped} skipped), threads_used {record['threads_used']}, "
-    f"steals {record['steals']}, warm {record['warm_hits']} / "
-    f"cold {record['cold_starts']}, resumed {record['resumed']}, "
+    f"steals {record['steals']}, forked {record['warm_hits']} / "
+    f"cold {record['cold_starts']}, steps marched {record['steps_executed']} "
+    f"of {executed_steps}, resumed {record['resumed']}, "
     f"front {len(front)} point(s)"
 )

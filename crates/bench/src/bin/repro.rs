@@ -18,7 +18,7 @@
 //!
 //! `repro explore` runs the design-space exploration subsystem
 //! (DESIGN.md §12): a declarative grid over the extended sweep axes executed
-//! on the work-stealing, warm-starting [`Explorer`], streamed into a durable
+//! on the work-stealing, prefix-forking [`Explorer`], streamed into a durable
 //! result store and distilled into a Pareto report (`BENCH_explore.json`):
 //!
 //! ```bash
@@ -60,7 +60,7 @@ const USAGE: &str = "usage:
                 [--load v,..] [--acc v,..] [--stages v,..] [--store-scale v,..]
                 [--pwl v,..] [--wdt v,..] [--v0 v,..]
                 [--subsample <keep>] [--seed <n>] [--refine <axis>]
-                [--workers <n>] [--cold] [--store <file>] [--out <file>]
+                [--workers <n>] [--store <file>] [--out <file>]
                 [--resume] [--report-only]
   repro serve --store <dir> [--socket <path> | --stdio]
               [--slice <s>] [--workers <n>] [--capacity <n>]";
@@ -258,9 +258,8 @@ fn serve(args: &[String]) -> Result<(), ReproError> {
 
 // --- `repro explore` ------------------------------------------------------
 
-/// Axis flags in canonical expansion order; `--v0` is deliberately last so
-/// the supercap pre-charge is the innermost axis — the one warm-start chains
-/// run along (adjacent points differ only in pre-charge, the best donors).
+/// Axis flags in canonical expansion order (`--v0` innermost). The order
+/// fixes point indices and labels; fork groups do not depend on it.
 const AXIS_FLAGS: [(&str, &str); 7] = [
     ("--load", "load"),
     ("--acc", "acc"),
@@ -280,7 +279,6 @@ struct ExploreOptions {
     seed: u64,
     refine: Option<SweepParameter>,
     workers: Option<usize>,
-    cold: bool,
     store: Option<PathBuf>,
     out: PathBuf,
     resume: bool,
@@ -296,7 +294,6 @@ fn parse_explore_options(args: &[String]) -> Result<ExploreOptions, ReproError> 
         seed: 0,
         refine: None,
         workers: None,
-        cold: false,
         store: None,
         out: PathBuf::from("BENCH_explore.json"),
         resume: false,
@@ -338,7 +335,6 @@ fn parse_explore_options(args: &[String]) -> Result<ExploreOptions, ReproError> 
             "--workers" => {
                 options.workers = Some(parse_usize(take_value(args, &mut at, flag)?, flag)?);
             }
-            "--cold" => options.cold = true,
             "--store" => options.store = Some(PathBuf::from(take_value(args, &mut at, flag)?)),
             "--out" => options.out = PathBuf::from(take_value(args, &mut at, flag)?),
             "--resume" => options.resume = true,
@@ -397,9 +393,6 @@ fn explore(args: &[String]) -> Result<(), ReproError> {
     if let Some(workers) = options.workers {
         explorer = explorer.workers(workers);
     }
-    if options.cold {
-        explorer = explorer.warm_start(false);
-    }
     if let Some(path) = &options.store {
         explorer = explorer.store(path);
     }
@@ -439,7 +432,7 @@ fn print_explore_report(report: &ExploreReport) {
         report.skipped
     );
     println!(
-        "workers {} ({} engaged), steals {}, warm {} / cold {}, resumed {}, dropped regions {}",
+        "workers {} ({} engaged), steals {}, forked {} / cold {}, resumed {}, dropped regions {}",
         report.workers,
         report.threads_used,
         report.steals,
@@ -447,6 +440,17 @@ fn print_explore_report(report: &ExploreReport) {
         report.cold_starts,
         report.resumed,
         report.dropped_regions
+    );
+    let row_steps: usize = report
+        .rows
+        .iter()
+        .filter(|row| !row.recovered)
+        .filter_map(|row| row.metrics())
+        .map(|metrics| metrics.steps)
+        .sum();
+    println!(
+        "engine steps marched {} (the executed rows' trajectories total {row_steps})",
+        report.steps_executed
     );
     println!("\nobjective summaries over completed points:");
     for summary in &report.summaries {
@@ -550,33 +554,41 @@ fn table1(long: bool) -> Result<(), CoreError> {
     Ok(())
 }
 
+/// Timed runs of each engine per Table II scenario; the table reports the
+/// median.
+const TABLE2_REPEATS: usize = 3;
+
 /// Table II: CPU times of the existing (Newton–Raphson) and proposed
 /// (Adams–Bashforth + exponential rail) techniques for the two tuning
-/// scenarios, plus — with `--sweep` — a sleep-load × acceleration grid. All
-/// comparisons run concurrently on worker threads where the host has the
-/// cores for it ([`SpeedComparison::run_batch`]).
+/// scenarios, plus — with `--sweep` — a sleep-load × acceleration grid. The
+/// headline rows time each engine alone, one run after another, and report
+/// the median of [`TABLE2_REPEATS`] runs: timing the scenarios concurrently
+/// let the scheduler swing the ratio by a factor of three. Only the sweep's
+/// throughput rows fan out across worker threads.
 fn table2(long: bool, sweep: bool) -> Result<(), CoreError> {
     let (d1, d2) = if long { (20.0, 30.0) } else { (5.0, 8.0) };
-    println!("== Table II: CPU times of existing and proposed simulation techniques ==\n");
+    println!("== Table II: CPU times of existing and proposed simulation techniques ==");
+    println!("   (each engine alone, sequential; median of {TABLE2_REPEATS} runs)\n");
     println!(
-        "{:<26} {:>18} {:>15} {:>9} {:>12} {:>24} {:>22} {:>8}",
+        "{:<26} {:>18} {:>15} {:>9} {:>12} {:>14} {:>24} {:>22}",
         "scenario",
         "Newton-Raphson [s]",
         "state-space [s]",
         "speed-up",
         "max dev [V]",
+        "ns/step NR/SS",
         "steps by AB order 1-4",
-        "binding pole [1/s]",
-        "threads"
+        "binding pole [1/s]"
     );
     let comparison = SpeedComparison::with_defaults();
     let labels = ["scenario1", "scenario2"];
     let scenarios = [scenario1(d1), scenario2(d2)];
-    let reports = comparison.run_batch(&scenarios)?;
     let mut records = Vec::new();
-    for ((label, scenario), report) in labels.iter().zip(&scenarios).zip(&reports) {
-        print_table2_row(label, report);
-        records.push(record_for(label, scenario, report));
+    for (label, scenario) in labels.iter().zip(&scenarios) {
+        let timed = time_engines(&comparison, scenario)?;
+        let record = record_for(label, scenario, &timed);
+        print_table2_row(&record);
+        records.push(record);
     }
 
     if sweep {
@@ -629,30 +641,71 @@ fn table2(long: bool, sweep: bool) -> Result<(), CoreError> {
     Ok(())
 }
 
-fn print_table2_row(label: &str, report: &ComparisonReport) {
-    let engine = report.proposed.result.engine_stats.state_space;
+/// One Table II scenario: the head-to-head report of the first run (the
+/// accuracy comparison and work counters) plus every run's engine time.
+struct TimedComparison {
+    report: ComparisonReport,
+    proposed_s: Vec<f64>,
+    baseline_s: Vec<f64>,
+}
+
+/// Runs `scenario` [`TABLE2_REPEATS`] times on each engine, one run at a
+/// time on the calling thread.
+fn time_engines(
+    comparison: &SpeedComparison,
+    scenario: &ScenarioConfig,
+) -> Result<TimedComparison, CoreError> {
+    let report = comparison.run(scenario)?;
+    let mut proposed_s = vec![report.proposed_cpu.as_secs_f64()];
+    let mut baseline_s = vec![report.baseline_cpu.as_secs_f64()];
+    let proposed =
+        scenario.clone().with_engine(SimulationEngine::StateSpace(*comparison.solver_options()));
+    let baseline = scenario
+        .clone()
+        .with_engine(SimulationEngine::NewtonRaphson(*comparison.baseline_options()));
+    for _ in 1..TABLE2_REPEATS {
+        proposed_s.push(proposed.run()?.result.engine_stats.state_space.cpu_time.as_secs_f64());
+        baseline_s.push(baseline.run()?.result.engine_stats.baseline.cpu_time.as_secs_f64());
+    }
+    Ok(TimedComparison { report, proposed_s, baseline_s })
+}
+
+/// The middle sample ([`TABLE2_REPEATS`] is odd).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+fn print_table2_row(record: &Table2Record) {
     println!(
-        "{:<26} {:>18} {:>15} {:>8.1}x {:>12.4} {:>24} {:>10.0}{:+10.0}i {:>8}",
-        label,
-        seconds(report.baseline_cpu),
-        seconds(report.proposed_cpu),
-        report.speedup(),
-        report.accuracy.max_deviation,
-        format!("{:?}", engine.steps_by_order),
-        engine.binding_pole[0],
-        engine.binding_pole[1],
-        engine.threads_used,
+        "{:<26} {:>18} {:>15} {:>8.1}x {:>12.4} {:>14} {:>24} {:>10.0}{:+10.0}i",
+        record.name,
+        format!("{:.3}", record.baseline_cpu_s),
+        format!("{:.3}", record.proposed_cpu_s),
+        record.speedup,
+        record.max_deviation_v,
+        format!("{:.0}/{:.0}", record.baseline_ns_per_step, record.proposed_ns_per_step),
+        format!("{:?}", record.steps_by_order),
+        record.binding_pole_re,
+        record.binding_pole_im,
     );
 }
 
-fn record_for(name: &str, scenario: &ScenarioConfig, report: &ComparisonReport) -> Table2Record {
+fn record_for(name: &str, scenario: &ScenarioConfig, timed: &TimedComparison) -> Table2Record {
+    let report = &timed.report;
     let engine = report.proposed.result.engine_stats.state_space;
+    let baseline_steps = report.baseline.result.engine_stats.baseline.steps;
+    let (proposed_cpu_s, baseline_cpu_s) = (median(&timed.proposed_s), median(&timed.baseline_s));
     Table2Record {
         name: name.to_string(),
         simulated_span_s: scenario.duration_s,
-        baseline_cpu_s: report.baseline_cpu.as_secs_f64(),
-        proposed_cpu_s: report.proposed_cpu.as_secs_f64(),
-        speedup: report.speedup(),
+        baseline_cpu_s,
+        proposed_cpu_s,
+        speedup: baseline_cpu_s / proposed_cpu_s.max(1e-9),
+        repeats: timed.proposed_s.len(),
+        proposed_ns_per_step: proposed_cpu_s * 1e9 / engine.steps.max(1) as f64,
+        baseline_ns_per_step: baseline_cpu_s * 1e9 / baseline_steps.max(1) as f64,
         max_deviation_v: report.accuracy.max_deviation,
         steps: engine.steps,
         factorisations: engine.factorisations,
@@ -662,7 +715,7 @@ fn record_for(name: &str, scenario: &ScenarioConfig, report: &ComparisonReport) 
         constant_stamps_skipped: engine.constant_stamps_skipped,
         pwl_stamps_skipped: engine.pwl_stamps_skipped,
         peak_probe_bytes: report.proposed.result.peak_probe_bytes,
-        threads_used: engine.threads_used,
+        threads_used: 1,
         binding_pole_re: engine.binding_pole[0],
         binding_pole_im: engine.binding_pole[1],
     }
@@ -700,6 +753,10 @@ fn run_streaming_sweep_point(config: &ScenarioConfig) -> Result<Table2Record, Co
         baseline_cpu_s: baseline_cpu,
         proposed_cpu_s: proposed_cpu,
         speedup: baseline_cpu / proposed_cpu.max(1e-9),
+        repeats: 1,
+        proposed_ns_per_step: proposed_cpu * 1e9 / engine.steps.max(1) as f64,
+        baseline_ns_per_step: baseline_cpu * 1e9
+            / baseline.engine_stats.baseline.steps.max(1) as f64,
         max_deviation_v: (v_proposed - v_baseline).abs(),
         steps: engine.steps,
         factorisations: engine.factorisations,
@@ -843,6 +900,11 @@ mod tests {
             run_cli(&strings(&["explore", "--warm"])),
             Err(ReproError::Usage(message)) if message.contains("--warm")
         ));
+        // Warm starts are gone, and their opt-out flag with them.
+        assert!(matches!(
+            run_cli(&strings(&["explore", "--cold"])),
+            Err(ReproError::Usage(message)) if message.contains("--cold")
+        ));
         assert!(matches!(
             run_cli(&strings(&["serve", "--socket"])),
             Err(ReproError::Usage(message)) if message.contains("expects a value")
@@ -867,7 +929,6 @@ mod tests {
             "0.5, 0.7, 0.9",
             "--workers",
             "3",
-            "--cold",
             "--subsample",
             "0.5",
             "--seed",
@@ -879,7 +940,6 @@ mod tests {
         let labels: Vec<&str> = spec.axes().iter().map(|(p, _)| p.label()).collect();
         assert_eq!(labels, vec!["acc", "v0"]);
         assert_eq!(options.workers, Some(3));
-        assert!(options.cold);
         assert_eq!(options.subsample, 0.5);
         assert_eq!(options.seed, 9);
 

@@ -38,12 +38,20 @@ pub struct Table2Record {
     pub name: String,
     /// Simulated span, in seconds.
     pub simulated_span_s: f64,
-    /// Newton–Raphson baseline CPU time, in seconds.
+    /// Newton–Raphson baseline CPU time, in seconds (the median over
+    /// `repeats` runs).
     pub baseline_cpu_s: f64,
-    /// Proposed state-space engine CPU time, in seconds.
+    /// Proposed state-space engine CPU time, in seconds (the median over
+    /// `repeats` runs).
     pub proposed_cpu_s: f64,
     /// Speed-up factor (baseline / proposed).
     pub speedup: f64,
+    /// Timed runs per engine behind the CPU times.
+    pub repeats: usize,
+    /// Proposed engine CPU time per accepted step, in nanoseconds.
+    pub proposed_ns_per_step: f64,
+    /// Baseline CPU time per accepted step, in nanoseconds.
+    pub baseline_ns_per_step: f64,
     /// Maximum supercapacitor-voltage deviation between the engines, in volts.
     pub max_deviation_v: f64,
     /// Accepted state-space steps.
@@ -71,9 +79,9 @@ pub struct Table2Record {
     /// sessions whose footprint is O(1) — independent of the simulated span —
     /// which the CI gate checks.
     pub peak_probe_bytes: usize,
-    /// Worker threads the batch runner fanned the comparison across (`1` =
-    /// sequential fallback on a single-core host), so CI timings are
-    /// attributable.
+    /// Worker threads the row's runs were fanned across: `1` for the
+    /// headline rows (each engine timed alone), the pool size for `--sweep`
+    /// throughput rows.
     pub threads_used: usize,
     /// Real part of the eigenvalue that priced the step limit at the last
     /// governor selection — the proof that the binding pole is physical
@@ -125,6 +133,17 @@ pub fn write_table2_json(path: &Path, records: &[Table2Record]) -> std::io::Resu
         writeln!(file, "      \"baseline_cpu_s\": {:.6},", json_number(record.baseline_cpu_s))?;
         writeln!(file, "      \"proposed_cpu_s\": {:.6},", json_number(record.proposed_cpu_s))?;
         writeln!(file, "      \"speedup\": {:.3},", json_number(record.speedup))?;
+        writeln!(file, "      \"repeats\": {},", record.repeats)?;
+        writeln!(
+            file,
+            "      \"proposed_ns_per_step\": {:.1},",
+            json_number(record.proposed_ns_per_step)
+        )?;
+        writeln!(
+            file,
+            "      \"baseline_ns_per_step\": {:.1},",
+            json_number(record.baseline_ns_per_step)
+        )?;
         writeln!(file, "      \"max_deviation_v\": {:.6},", json_number(record.max_deviation_v))?;
         writeln!(file, "      \"steps\": {},", record.steps)?;
         writeln!(file, "      \"factorisations\": {},", record.factorisations)?;
@@ -157,7 +176,8 @@ pub fn write_table2_json(path: &Path, records: &[Table2Record]) -> std::io::Resu
 /// Serialises an [`ExploreReport`] to `path` as the `BENCH_explore.json`
 /// document the `explore-smoke` CI job validates (schema modelled on
 /// `BENCH_table2.json`): experiment header, grid description, balanced point
-/// accounting, scheduler/warm-start counters, one row per point, the Pareto
+/// accounting, scheduler/fork counters (including the engine steps actually
+/// marched), one row per point, the Pareto
 /// front's point indices and the per-objective summaries.
 ///
 /// # Errors
@@ -219,6 +239,7 @@ pub fn write_explore_json(path: &Path, report: &ExploreReport) -> std::io::Resul
     writeln!(file, "  \"steals\": {},", report.steals)?;
     writeln!(file, "  \"warm_hits\": {},", report.warm_hits)?;
     writeln!(file, "  \"cold_starts\": {},", report.cold_starts)?;
+    writeln!(file, "  \"steps_executed\": {},", report.steps_executed)?;
     writeln!(file, "  \"resumed\": {},", report.resumed)?;
     writeln!(file, "  \"dropped_regions\": {},", report.dropped_regions)?;
     writeln!(file, "  \"points\": [")?;
@@ -310,6 +331,9 @@ mod tests {
                 baseline_cpu_s: 1.25,
                 proposed_cpu_s: 0.25,
                 speedup: 5.0,
+                repeats: 3,
+                proposed_ns_per_step: 250000.0,
+                baseline_ns_per_step: 1250000.0,
                 max_deviation_v: 0.01,
                 steps: 1000,
                 factorisations: 4,
@@ -329,6 +353,9 @@ mod tests {
                 baseline_cpu_s: 2.0,
                 proposed_cpu_s: 0.2,
                 speedup: 10.0,
+                repeats: 3,
+                proposed_ns_per_step: 100000.0,
+                baseline_ns_per_step: 1000000.0,
                 max_deviation_v: 0.02,
                 steps: 2000,
                 factorisations: 6,
@@ -347,6 +374,8 @@ mod tests {
         let written = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(written.contains("\"experiment\": \"table2\""));
+        assert!(written.contains("\"repeats\": 3"));
+        assert!(written.contains("\"proposed_ns_per_step\": 250000.0"));
         assert!(written.contains("\"name\": \"scenario1\""));
         assert!(written.contains("\"speedup\": 5.000"));
         assert!(written.contains("\"min_speedup\": 5.000"));
@@ -384,6 +413,7 @@ mod tests {
             steals: 1,
             warm_hits: 1,
             cold_starts: 1,
+            steps_executed: 10,
             resumed: 0,
             dropped_regions: 0,
             rows: vec![
@@ -431,6 +461,7 @@ mod tests {
         assert!(written.contains("\"param\": \"acc\""));
         assert!(written.contains("\"offered\": 2"));
         assert!(written.contains("\"warm_hits\": 1"));
+        assert!(written.contains("\"steps_executed\": 10"));
         assert!(written.contains("\"status\": \"completed\""));
         assert!(written.contains("\"status\": \"failed\""));
         // The NaN wall-time clamps to 0.0 so the file stays parseable JSON.

@@ -76,8 +76,9 @@ impl SpeedComparison {
     }
 
     /// Runs each scenario's head-to-head comparison on its own OS thread and
-    /// returns the reports in input order — both Table II scenarios (and any
-    /// parameter sweep) measure concurrently. Within one worker the proposed
+    /// returns the reports in input order — a throughput runner: concurrent
+    /// comparisons share the host, so `repro table2` times its headline rows
+    /// one engine at a time instead. Within one worker the proposed
     /// engine and the baseline still run back to back, so each engine's
     /// wall-clock time is measured exactly as in [`SpeedComparison::run`];
     /// with fewer than two hardware threads (or a single scenario) the

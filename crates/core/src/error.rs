@@ -29,6 +29,9 @@ pub enum CoreError {
     /// An on-disk session-store operation failed (I/O, corruption, or a
     /// manifest/frame disagreement — see [`crate::store::StoreError`]).
     Store(crate::store::StoreError),
+    /// [`crate::Session::fork`] refused: the fork could not be exact (see
+    /// [`crate::session::ForkRefusal`] for the cases).
+    Fork(crate::session::ForkRefusal),
     /// A failure attributed to one scenario of a batch or sweep: `label`
     /// names the originating configuration (the scenario id, or the sweep
     /// point's `scenario+param=value` path), so a failed grid point is
@@ -65,6 +68,7 @@ impl fmt::Display for CoreError {
             CoreError::Kernel(err) => write!(f, "digital kernel error: {err}"),
             CoreError::Checkpoint(err) => write!(f, "checkpoint error: {err}"),
             CoreError::Store(err) => write!(f, "session store error: {err}"),
+            CoreError::Fork(refusal) => write!(f, "fork refused: {refusal}"),
             CoreError::Scenario { label, source } => write!(f, "scenario `{label}`: {source}"),
         }
     }
@@ -112,6 +116,12 @@ impl From<KernelError> for CoreError {
 impl From<crate::checkpoint::CheckpointError> for CoreError {
     fn from(err: crate::checkpoint::CheckpointError) -> Self {
         CoreError::Checkpoint(err)
+    }
+}
+
+impl From<crate::session::ForkRefusal> for CoreError {
+    fn from(refusal: crate::session::ForkRefusal) -> Self {
+        CoreError::Fork(refusal)
     }
 }
 

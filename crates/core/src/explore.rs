@@ -5,18 +5,18 @@
 //! consumer: a declarative [`GridSpec`] (a [`SweepGrid`] cross product plus
 //! deterministic subsampling/refinement) driven by an [`Explorer`] that
 //!
-//! * executes points on a **work-stealing scheduler** — per-worker deques of
-//!   warm-start chains; an idle worker steals whole chains totalling about
-//!   half of a victim's remaining points (chains, not single points, because
-//!   a chain's points depend on each other — see below);
-//! * **warm-starts** each point from its predecessor along the innermost
-//!   grid axis: the donor's fast states (mechanical, coil, rail, intermediate
-//!   Dickson stages) are adopted through
-//!   [`crate::Session::adopt_initial_state`] under a validity guard, while
-//!   the supercapacitor branches and the multiplier output stage keep the
-//!   point's own pre-charge. The donor is *fixed by the grid*, not by
-//!   execution order, so per-point results are bit-identical for any worker
-//!   count — chain heads cold-start, everything else warm-starts;
+//! * runs each **shared analogue prefix once**: points that differ only in
+//!   their controller settings (the `wdt` axis) march a bit-identical
+//!   analogue trajectory until the first controller wake-up, so they form a
+//!   *fork group*, run by one worker as a prefix tree — each member is
+//!   forked ([`crate::Session::fork`]) off its predecessor just before the
+//!   predecessor's first digital event. The fork is exact, so every row is
+//!   bit-identical to a standalone cold run of its point, for any worker
+//!   count; a grid without a controller axis has groups of one, each run
+//!   cold;
+//! * executes the groups on a **work-stealing scheduler** — per-worker
+//!   deques of groups; an idle worker steals whole groups totalling about
+//!   half of a victim's remaining points;
 //! * attributes per-point failures as [`CoreError::Scenario`] rows without
 //!   aborting the grid;
 //! * streams every finished point into a durable append-only **result
@@ -39,23 +39,22 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
+use std::time::Duration;
 
 use crate::checkpoint::{
     self, fnv1a64, open_frame_with_kind, seal_frame_with_kind, ByteReader, ByteWriter,
     CheckpointError, CHECKPOINT_MAGIC, CHECKSUM_LEN, HEADER_LEN, KIND_EXPLORE_RECORD,
 };
+use crate::mixed::SimulationEngine;
 use crate::probe::{EnvelopeProbe, PowerProbe};
 use crate::scenario::{ScenarioConfig, SweepGrid, SweepParameter};
-use crate::session::Simulation;
+use crate::session::{analogue_key, ProbeId, Session, SessionReport, Simulation};
 use crate::store::StoreError;
 use crate::CoreError;
 
 /// A declarative description of a design-space grid: a base scenario, an
 /// ordered axis list (cross product, last axis innermost/fastest), and a
-/// deterministic point subsample. The innermost axis additionally defines
-/// the **warm-start chains**: consecutive points along it share a chain and
-/// each point's initial state is warm-started from its predecessor's final
-/// state.
+/// deterministic point subsample.
 #[derive(Debug, Clone)]
 pub struct GridSpec {
     base: ScenarioConfig,
@@ -71,7 +70,7 @@ impl GridSpec {
     }
 
     /// Appends an axis; the axis added last is the innermost one (fastest
-    /// varying, and the direction warm-start chains run along).
+    /// varying).
     pub fn axis(mut self, param: SweepParameter, values: &[f64]) -> Self {
         self.axes.push((param, values.to_vec()));
         self
@@ -194,12 +193,6 @@ impl GridSpec {
         }
         Ok(plans)
     }
-
-    /// Points per warm-start chain: the innermost axis length (1 for an
-    /// axis-free grid).
-    fn chain_stride(&self) -> usize {
-        self.axes.last().map(|(_, values)| values.len().max(1)).unwrap_or(1)
-    }
 }
 
 /// SplitMix64 — the deterministic hash behind grid subsampling (same
@@ -231,11 +224,14 @@ pub struct PointMetrics {
     /// Store-voltage dip depth, in volts: first minus minimum envelope
     /// sample of the storage net (minimised).
     pub dip_v: f64,
-    /// Engine wall-clock of the run, in seconds. Informational: wall time is
-    /// not deterministic, so the Pareto front uses `steps` as the cost axis.
+    /// Engine wall-clock of the run, in seconds — for a forked point only
+    /// the time after the fork, so the rows' sum is the work done.
+    /// Informational: wall time is not deterministic, so the Pareto front
+    /// uses `steps` as the cost axis.
     pub wall_s: f64,
-    /// Accepted engine steps — the deterministic, machine-independent run
-    /// cost (minimised in the Pareto front).
+    /// Accepted engine steps of the whole trajectory, equal to a cold run's
+    /// — the deterministic, machine-independent run cost (minimised in the
+    /// Pareto front). A forked point counts the prefix it shared.
     pub steps: usize,
     /// First storage-voltage envelope sample, in volts.
     pub v_first: f64,
@@ -244,8 +240,7 @@ pub struct PointMetrics {
     /// RMS generator output power after the frequency step, in microwatts
     /// (from the streaming [`PowerProbe`]).
     pub rms_after_uw: f64,
-    /// Final global state vector — the warm-start donor a resumed run adopts
-    /// for the stored point's chain successor.
+    /// Final global state vector.
     pub final_state: Vec<f64>,
 }
 
@@ -269,7 +264,8 @@ pub struct PointRecord {
     pub label: String,
     /// One swept value per axis, in axis order.
     pub values: Vec<f64>,
-    /// Whether the point adopted a warm-start donor (false = cold start).
+    /// Whether the point was forked from a shared prefix (false = it ran
+    /// from t = 0).
     pub warm: bool,
     /// Whether this row was recovered from the result store instead of
     /// executed in this run.
@@ -309,8 +305,7 @@ pub struct ObjectiveSummary {
     pub mean: f64,
 }
 
-/// The outcome of an exploration: every row, the scheduler/warm-start
-/// counters, the balanced point accounting and the exact Pareto front.
+/// The outcome of an exploration: every row, the scheduler/fork counters, the balanced point accounting and the exact Pareto front.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Label of the base configuration the grid derives from.
@@ -334,14 +329,18 @@ pub struct ExploreReport {
     pub workers: usize,
     /// Worker threads that executed at least one point this run.
     pub threads_used: usize,
-    /// Warm-start chains migrated between workers by stealing.
+    /// Fork groups migrated between workers by stealing.
     pub steals: usize,
-    /// Points executed this run that adopted a warm-start donor.
+    /// Points executed this run that were forked from a shared prefix.
     pub warm_hits: usize,
-    /// Points executed this run from a cold start (chain heads, rejected
-    /// donors, failure successors re-warmed from an older donor — see
-    /// DESIGN.md §12).
+    /// Points executed this run from t = 0 (group heads, and successors of
+    /// members that failed or woke too early to hand over — see DESIGN.md
+    /// §12).
     pub cold_starts: usize,
+    /// Engine steps actually marched this run: the rows' `steps` minus the
+    /// prefixes forked points inherited. Equals the executed rows' step sum
+    /// when nothing was forked.
+    pub steps_executed: usize,
     /// Rows recovered from the result store instead of re-executed.
     pub resumed: usize,
     /// Corrupt result-store regions skipped while scanning (each region may
@@ -368,13 +367,12 @@ enum Mode {
     ReportOnly,
 }
 
-/// Executes a [`GridSpec`] on a work-stealing worker pool with warm starts
-/// and an optional durable result store. See the module docs for the model.
+/// Executes a [`GridSpec`] on a work-stealing worker pool, forking shared
+/// prefixes, with an optional durable result store. See the module docs for the model.
 #[derive(Debug, Clone)]
 pub struct Explorer {
     spec: GridSpec,
     workers: usize,
-    warm_start: bool,
     store_path: Option<PathBuf>,
 }
 
@@ -387,20 +385,12 @@ impl Explorer {
     /// cost axis is the step count), so it always fans out.
     pub fn new(spec: GridSpec) -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2);
-        Explorer { spec, workers, warm_start: true, store_path: None }
+        Explorer { spec, workers, store_path: None }
     }
 
     /// Overrides the worker count (clamped to at least 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables/disables warm starts (enabled by default). With warm starts
-    /// off every point cold-starts — the reference the determinism tests
-    /// compare warm-started runs against.
-    pub fn warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start = enabled;
         self
     }
 
@@ -430,8 +420,8 @@ impl Explorer {
 
     /// Resumes a killed exploration: recovers every intact record from the
     /// result store (skipping corrupt regions), executes only the missing
-    /// points — warm-starting them from recovered neighbours where the chain
-    /// provides one — and appends the new rows.
+    /// points — still forking the prefixes they share among themselves —
+    /// and appends the new rows.
     ///
     /// A store whose frames carry a different grid digest is rejected with
     /// [`CheckpointError::DigestMismatch`]; a missing store file degrades to
@@ -490,12 +480,12 @@ impl Explorer {
         let recovered_indices: HashSet<usize> =
             recovered.iter().map(|record| record.index).collect();
 
-        // Chain the kept points along the innermost axis; recovered rows
-        // become donor slots so a resumed chain successor still warm-starts.
-        let chains = if mode == Mode::ReportOnly {
+        // Group the points still to run by everything but their controller
+        // settings; recovered rows simply leave their group.
+        let groups = if mode == Mode::ReportOnly {
             Vec::new()
         } else {
-            build_chains(&plans, &recovered, &recovered_indices, self.spec.chain_stride())
+            build_groups(plans, &recovered_indices)
         };
 
         let mut store_file = match (&self.store_path, mode) {
@@ -512,40 +502,41 @@ impl Explorer {
             _ => None,
         };
 
-        // Work-stealing execution: chains are dealt round-robin onto
+        // Work-stealing execution: groups are dealt round-robin onto
         // per-worker deques; owners pop LIFO at the back, thieves take whole
-        // chains from the front totalling about half the victim's remaining
+        // groups from the front totalling about half the victim's remaining
         // points. Completed records stream back over a channel and are
         // appended (and flushed) to the store one frame at a time, so a kill
         // at any instant loses at most the frame in flight.
-        let worker_count = self.workers.min(chains.len()).max(1);
-        let queues: Vec<Mutex<VecDeque<Chain>>> =
+        let worker_count = self.workers.min(groups.len()).max(1);
+        let queues: Vec<Mutex<VecDeque<Group>>> =
             (0..worker_count).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, chain) in chains.into_iter().enumerate() {
-            queues[i % worker_count].lock().expect("queue lock").push_back(chain);
+        let has_work = !groups.is_empty();
+        for (i, group) in groups.into_iter().enumerate() {
+            queues[i % worker_count].lock().expect("queue lock").push_back(group);
         }
         let steals = AtomicUsize::new(0);
         let engaged = AtomicUsize::new(0);
-        let warm_enabled = self.warm_start;
         let mut executed: Vec<PointRecord> = Vec::new();
-        let has_work = queues.iter().any(|q| !q.lock().expect("queue lock").is_empty());
+        let mut steps_executed = 0usize;
         if has_work {
-            let (tx, rx) = mpsc::channel::<PointRecord>();
+            let (tx, rx) = mpsc::channel::<Executed>();
             std::thread::scope(|scope| -> Result<(), CoreError> {
                 for id in 0..worker_count {
                     let tx = tx.clone();
                     let queues = &queues;
                     let steals = &steals;
                     let engaged = &engaged;
-                    scope.spawn(move || worker_loop(id, queues, warm_enabled, tx, steals, engaged));
+                    scope.spawn(move || worker_loop(id, queues, tx, steals, engaged));
                 }
                 drop(tx);
-                for record in rx {
+                for (record, steps) in rx {
                     if let Some(file) = store_file.as_mut() {
                         let path = self.store_path.as_ref().expect("store file implies path");
                         append_record(file, path, digest, &record)?;
                     }
                     executed.push(record);
+                    steps_executed += steps;
                 }
                 Ok(())
             })?;
@@ -579,6 +570,7 @@ impl Explorer {
             steals: steals.load(Ordering::Relaxed),
             warm_hits,
             cold_starts,
+            steps_executed,
             resumed,
             dropped_regions,
             pareto_front: pareto_front(&rows),
@@ -588,92 +580,94 @@ impl Explorer {
     }
 }
 
-/// A warm-start chain: the kept points of one innermost-axis run, in grid
-/// order, interleaved with the final states of rows recovered from the store
-/// (donors for their chain successors). Executed sequentially by one worker
-/// so every point's donor is ready when the point runs — which is what makes
-/// warm-started results independent of the worker count.
-struct Chain {
-    slots: Vec<Slot>,
+/// A fork group: the kept, not-yet-stored points that differ only in their
+/// controller settings, ordered by first digital event (then grid index).
+/// They march one analogue trajectory until the earliest wake-up, so one
+/// worker runs the group as a prefix tree — each member is forked from its
+/// predecessor just before the predecessor's first event, which makes every
+/// row bit-identical to a cold run of its own configuration.
+struct Group {
+    members: Vec<PointPlan>,
 }
 
-enum Slot {
-    Run(Box<PointPlan>),
-    /// The recovered final state of an already-stored completed point —
-    /// donor material only, nothing to execute. `None` for recovered
-    /// failures (a failure contributes no donor, matching the fresh-run
-    /// rule).
-    Donor(Option<Vec<f64>>),
-}
-
-impl Chain {
-    fn run_len(&self) -> usize {
-        self.slots.iter().filter(|slot| matches!(slot, Slot::Run(_))).count()
+/// Groups the plans still to run by the digest of their analogue part. A
+/// digest collision would only put strangers in one group: their fork is
+/// refused (it compares the configurations in full) and the stranger runs
+/// cold.
+fn build_groups(plans: Vec<PointPlan>, recovered_indices: &HashSet<usize>) -> Vec<Group> {
+    let mut slot_of: HashMap<u64, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    for plan in plans.into_iter().filter(|plan| !recovered_indices.contains(&plan.index)) {
+        let slot = *slot_of.entry(fnv1a64(&analogue_key(&plan.config))).or_insert_with(|| {
+            groups.push(Group { members: Vec::new() });
+            groups.len() - 1
+        });
+        groups[slot].members.push(plan);
     }
-}
-
-fn build_chains(
-    plans: &[PointPlan],
-    recovered: &[PointRecord],
-    recovered_indices: &HashSet<usize>,
-    stride: usize,
-) -> Vec<Chain> {
-    let donors: HashMap<usize, Option<Vec<f64>>> = recovered
-        .iter()
-        .map(|record| (record.index, record.metrics().map(|metrics| metrics.final_state.clone())))
-        .collect();
-    let mut groups: Vec<(usize, Vec<Slot>)> = Vec::new();
-    for plan in plans {
-        let group = plan.index / stride;
-        if groups.last().map(|(g, _)| *g) != Some(group) {
-            groups.push((group, Vec::new()));
-        }
-        let slots = &mut groups.last_mut().expect("just pushed").1;
-        if recovered_indices.contains(&plan.index) {
-            slots.push(Slot::Donor(donors.get(&plan.index).cloned().flatten()));
-        } else {
-            slots.push(Slot::Run(Box::new(plan.clone())));
-        }
+    for group in &mut groups {
+        group.members.sort_by(|a, b| {
+            first_event_s(&a.config)
+                .total_cmp(&first_event_s(&b.config))
+                .then(a.index.cmp(&b.index))
+        });
     }
     groups
-        .into_iter()
-        .map(|(_, slots)| Chain { slots })
-        .filter(|chain| chain.run_len() > 0)
-        .collect()
 }
+
+/// Time of a point's first digital event (its first watchdog wake-up),
+/// capped at the span end.
+fn first_event_s(config: &ScenarioConfig) -> f64 {
+    config.controller.watchdog_period_s.min(config.duration_s)
+}
+
+/// Where a group member hands over to its successor: two maximal steps
+/// before its own first event, so the fork's exactness condition
+/// (`time + max_step` within both segment ends) holds wherever the paused
+/// step lands. `None` when the engine cannot fork or the point wakes too
+/// early to share a prefix worth forking.
+fn fork_time_s(config: &ScenarioConfig) -> Option<f64> {
+    let SimulationEngine::StateSpace(options) = config.engine else { return None };
+    let at = first_event_s(config) - 2.0 * options.max_step;
+    (at > 0.0).then_some(at)
+}
+
+/// An executed row plus the engine steps this run actually marched for it
+/// (the row's own steps minus those inherited at a fork).
+type Executed = (PointRecord, usize);
 
 fn worker_loop(
     id: usize,
-    queues: &[Mutex<VecDeque<Chain>>],
-    warm_enabled: bool,
-    tx: mpsc::Sender<PointRecord>,
+    queues: &[Mutex<VecDeque<Group>>],
+    tx: mpsc::Sender<Executed>,
     steals: &AtomicUsize,
     engaged: &AtomicUsize,
 ) {
     let mut worked = false;
     loop {
         let own = queues[id].lock().expect("queue lock").pop_back();
-        let Some(chain) = own.or_else(|| steal(id, queues, steals)) else { break };
+        let Some(group) = own.or_else(|| steal(id, queues, steals)) else { break };
         if !worked {
             worked = true;
             engaged.fetch_add(1, Ordering::Relaxed);
         }
-        execute_chain(chain, warm_enabled, &tx);
+        if !execute_group(group, &tx) {
+            return;
+        }
     }
 }
 
 /// Steals work for worker `id`: scans the other queues and takes whole
-/// chains from the victim's front totalling about half of its remaining
-/// points (`⌈points/2⌉`). Whole chains, because splitting one would break
-/// the warm-start dependency order; "half the points" (not half the chains)
-/// because chains can be unequal. Returns the first stolen chain and queues
-/// the rest locally.
-fn steal(id: usize, queues: &[Mutex<VecDeque<Chain>>], steals: &AtomicUsize) -> Option<Chain> {
+/// groups from the victim's front totalling about half of its remaining
+/// points (`⌈points/2⌉`). Whole groups, because splitting one would re-run
+/// the shared prefix; "half the points" (not half the groups) because
+/// groups can be unequal. Returns the first stolen group and queues the rest
+/// locally.
+fn steal(id: usize, queues: &[Mutex<VecDeque<Group>>], steals: &AtomicUsize) -> Option<Group> {
     for offset in 1..queues.len() {
         let victim = (id + offset) % queues.len();
         let mut stolen = {
             let mut queue = queues[victim].lock().expect("queue lock");
-            let total: usize = queue.iter().map(Chain::run_len).sum();
+            let total: usize = queue.iter().map(|group| group.members.len()).sum();
             if total == 0 {
                 continue;
             }
@@ -681,9 +675,9 @@ fn steal(id: usize, queues: &[Mutex<VecDeque<Chain>>], steals: &AtomicUsize) -> 
             let mut taken = Vec::new();
             let mut got = 0usize;
             while got < target {
-                let Some(chain) = queue.pop_front() else { break };
-                got += chain.run_len();
-                taken.push(chain);
+                let Some(group) = queue.pop_front() else { break };
+                got += group.members.len();
+                taken.push(group);
             }
             taken
         };
@@ -701,105 +695,150 @@ fn steal(id: usize, queues: &[Mutex<VecDeque<Chain>>], steals: &AtomicUsize) -> 
     None
 }
 
-fn execute_chain(chain: Chain, warm_enabled: bool, tx: &mpsc::Sender<PointRecord>) {
-    // The running donor: the final state of the nearest *completed*
-    // predecessor in the chain (failures leave it untouched, so a failure's
-    // successor warm-starts from the last good neighbour — deterministic,
-    // because the chain order is fixed by the grid).
-    let mut donor: Option<Vec<f64>> = None;
-    for slot in chain.slots {
-        match slot {
-            Slot::Donor(state) => {
-                if state.is_some() {
-                    donor = state;
-                }
-            }
-            Slot::Run(plan) => {
-                let adopt = if warm_enabled { donor.as_deref() } else { None };
-                let record = run_point(&plan, adopt);
-                if let PointOutcome::Completed(metrics) = &record.outcome {
-                    donor = Some(metrics.final_state.clone());
-                }
-                if tx.send(record).is_err() {
-                    return;
-                }
-            }
-        }
+/// A point's session, ready to run, with the probes the row is measured by
+/// and what it inherited if it was forked.
+struct PointRun {
+    session: Session,
+    envelope: ProbeId,
+    power: ProbeId,
+    forked: bool,
+    /// Engine steps and engine time already on the session's books when it
+    /// was handed to this point (zero for a cold start).
+    inherited_steps: usize,
+    inherited_time: Duration,
+}
+
+impl PointRun {
+    /// Starts `plan` cold, at t = 0.
+    fn cold(plan: &PointPlan) -> Result<PointRun, CoreError> {
+        plan.config.validate()?;
+        let mut session = Simulation::from_config(plan.config.clone()).start()?;
+        let (envelope, power) = point_probes(&session, &plan.config);
+        let envelope = session.add_probe(envelope);
+        let power = session.add_probe(power);
+        Ok(PointRun {
+            session,
+            envelope,
+            power,
+            forked: false,
+            inherited_steps: 0,
+            inherited_time: Duration::ZERO,
+        })
+    }
+
+    /// Forks `plan` off this run's session (see [`Session::fork`]).
+    fn fork(&self, plan: &PointPlan) -> Result<PointRun, CoreError> {
+        let (envelope, power) = point_probes(&self.session, &plan.config);
+        let (session, ids) =
+            self.session.fork(plan.config.clone(), vec![Box::new(envelope), Box::new(power)])?;
+        let report = session.report();
+        Ok(PointRun {
+            envelope: ids[0],
+            power: ids[1],
+            forked: true,
+            inherited_steps: engine_steps(&report),
+            inherited_time: report.engine_time(),
+            session,
+        })
     }
 }
 
-fn run_point(plan: &PointPlan, donor: Option<&[f64]>) -> PointRecord {
-    let label = plan.config.effective_label();
-    match run_point_inner(plan, donor) {
-        Ok((warm, metrics)) => PointRecord {
+/// Fresh instances of the probes every point is measured by, in
+/// registration order: the storage-voltage envelope and the generator power.
+fn point_probes(session: &Session, config: &ScenarioConfig) -> (EnvelopeProbe, PowerProbe) {
+    let harvester = session.harvester();
+    (
+        EnvelopeProbe::terminal(harvester.storage_voltage_net()),
+        PowerProbe::new(
+            harvester.generator_voltage_net(),
+            harvester.generator_current_net(),
+            config.frequency_step_time_s,
+            config.duration_s,
+        ),
+    )
+}
+
+fn engine_steps(report: &SessionReport) -> usize {
+    report.engine_stats.state_space.steps.max(report.engine_stats.baseline.steps)
+}
+
+/// Runs one fork group as a prefix tree and streams its rows to `tx`:
+/// member k runs to its fork time, member k + 1 is forked off it, then
+/// member k runs to the end — at most two live sessions per worker. A
+/// member that cannot hand over (an early wake-up, a failure, a refused
+/// fork) leaves its successor to start cold. Returns `false` once the
+/// receiver is gone.
+fn execute_group(group: Group, tx: &mpsc::Sender<Executed>) -> bool {
+    let mut next: Option<PointRun> = None;
+    for (k, plan) in group.members.iter().enumerate() {
+        let successor = group.members.get(k + 1);
+        let run = match next.take() {
+            Some(run) => Ok(run),
+            None => PointRun::cold(plan),
+        };
+        let outcome = run.and_then(|mut run| {
+            if let (Some(successor), Some(at)) = (successor, fork_time_s(&plan.config)) {
+                run.session.run_until(at)?;
+                next = run.fork(successor).ok();
+            }
+            finish_point(plan, run)
+        });
+        let label = plan.config.effective_label();
+        let (warm, outcome, steps) = match outcome {
+            Ok((warm, metrics, steps)) => (warm, PointOutcome::Completed(metrics), steps),
+            Err(err) => {
+                (false, PointOutcome::Failed(err.for_scenario(label.clone()).to_string()), 0)
+            }
+        };
+        let record = PointRecord {
             index: plan.index,
             label,
             values: plan.values.clone(),
             warm,
             recovered: false,
-            outcome: PointOutcome::Completed(metrics),
-        },
-        Err(err) => {
-            let attributed = err.for_scenario(label.clone());
-            PointRecord {
-                index: plan.index,
-                label,
-                values: plan.values.clone(),
-                warm: false,
-                recovered: false,
-                outcome: PointOutcome::Failed(attributed.to_string()),
-            }
+            outcome,
+        };
+        if tx.send((record, steps)).is_err() {
+            return false;
         }
     }
+    true
 }
 
-fn run_point_inner(
+/// Runs a point to the end and measures it. Returns whether it was forked,
+/// its metrics and the engine steps marched for it in this run.
+fn finish_point(
     plan: &PointPlan,
-    donor: Option<&[f64]>,
-) -> Result<(bool, PointMetrics), CoreError> {
-    plan.config.validate()?;
-    let mut session = Simulation::from_config(plan.config.clone()).start()?;
-    // Stored-energy baseline from the point's own cold initial state; warm
-    // adoption pins the supercapacitor branches to the same pre-charge, so
-    // this is the correct reference either way.
-    let initial = session.harvester().initial_state(plan.config.initial_supercap_voltage)?;
-    let initial_energy = session.harvester().stored_energy(&initial);
-    let warm = match donor {
-        Some(state) => session.adopt_initial_state(state)?,
-        None => false,
-    };
-    let vc = session.harvester().storage_voltage_net();
-    let vm = session.harvester().generator_voltage_net();
-    let im = session.harvester().generator_current_net();
-    let envelope = session.add_probe(EnvelopeProbe::terminal(vc));
-    let power = session.add_probe(PowerProbe::new(
-        vm,
-        im,
-        plan.config.frequency_step_time_s,
-        plan.config.duration_s,
-    ));
-    session.run_to_end()?;
+    mut run: PointRun,
+) -> Result<(bool, PointMetrics, usize), CoreError> {
+    // Stored-energy baseline from the point's own initial state (no digital
+    // event has acted on the harvester yet).
+    let initial = run.session.harvester().initial_state(plan.config.initial_supercap_voltage)?;
+    let initial_energy = run.session.harvester().stored_energy(&initial);
+    run.session.run_to_end()?;
+    let session = &run.session;
     let report = session.report();
-    let env = session.probe::<EnvelopeProbe>(envelope).expect("envelope keeps its type");
+    let env = session.probe::<EnvelopeProbe>(run.envelope).expect("envelope keeps its type");
     let rms_after_uw = session
-        .probe::<PowerProbe>(power)
+        .probe::<PowerProbe>(run.power)
         .expect("power probe keeps its type")
         .report()
         .rms_after_uw;
-    let steps = report.engine_stats.state_space.steps.max(report.engine_stats.baseline.steps);
+    let steps = engine_steps(&report);
     let energy_gain_j = session.harvester().stored_energy(&report.final_state) - initial_energy;
     Ok((
-        warm,
+        run.forked,
         PointMetrics {
             energy_gain_j,
             dip_v: (env.first() - env.min()).max(0.0),
-            wall_s: report.engine_time().as_secs_f64(),
+            wall_s: report.engine_time().saturating_sub(run.inherited_time).as_secs_f64(),
             steps,
             v_first: env.first(),
             v_last: env.last(),
             rms_after_uw,
             final_state: report.final_state.as_slice().to_vec(),
         },
+        steps - run.inherited_steps,
     ))
 }
 
@@ -1065,7 +1104,6 @@ mod tests {
     fn grid_spec_counts_subsamples_and_refines() {
         let spec = quick_spec();
         assert_eq!(spec.offered(), 6);
-        assert_eq!(spec.chain_stride(), 3);
         assert_eq!(spec.plan().unwrap().len(), 6);
 
         // Subsampling keeps a deterministic strict subset.
@@ -1176,9 +1214,13 @@ mod tests {
         assert_eq!(report.failed, 0);
         assert_eq!(report.skipped, 0);
         assert_eq!(report.rows.len(), 6);
-        // Two chains of three points: one cold head each, the rest warm.
-        assert_eq!(report.cold_starts, 2);
-        assert_eq!(report.warm_hits, 4);
+        // No controller axis: six groups of one, every point cold, and the
+        // steps marched are exactly the rows' steps.
+        assert_eq!(report.cold_starts, 6);
+        assert_eq!(report.warm_hits, 0);
+        let row_steps: usize =
+            report.rows.iter().filter_map(|row| row.metrics()).map(|m| m.steps).sum();
+        assert_eq!(report.steps_executed, row_steps);
         assert!(report.threads_used >= 1);
         assert!(!report.pareto_front.is_empty());
         // Front members must be completed row indices.
@@ -1190,6 +1232,32 @@ mod tests {
         for pair in report.rows.windows(2) {
             assert!(pair[0].index < pair[1].index);
         }
+    }
+
+    #[test]
+    fn points_differing_only_in_controller_settings_fork_a_shared_prefix() {
+        let spec = GridSpec::new(quick_base())
+            .axis(SweepParameter::InitialSupercapVoltage, &[2.4, 2.6])
+            .axis(SweepParameter::WatchdogPeriod, &[0.04, 0.02, 0.03]);
+        let groups = build_groups(spec.plan().unwrap(), &HashSet::new());
+        assert_eq!(groups.len(), 2);
+        for group in &groups {
+            // Ordered by first wake-up, not by grid position.
+            let wakes: Vec<f64> =
+                group.members.iter().map(|plan| plan.config.controller.watchdog_period_s).collect();
+            assert_eq!(wakes, vec![0.02, 0.03, 0.04]);
+        }
+        // A recovered row leaves its group.
+        let without = build_groups(spec.plan().unwrap(), &HashSet::from([1]));
+        assert_eq!(without[0].members.len(), 2);
+
+        let report = Explorer::new(spec).workers(2).run().unwrap();
+        assert_eq!(report.completed, 6);
+        assert_eq!(report.cold_starts, 2);
+        assert_eq!(report.warm_hits, 4);
+        let row_steps: usize =
+            report.rows.iter().filter_map(|row| row.metrics()).map(|m| m.steps).sum();
+        assert!(report.steps_executed < row_steps, "{} vs {row_steps}", report.steps_executed);
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub use service::{
     ClassReport, JobClass, JobOutcome, JobRequest, ServiceError, ServiceOptions, ServiceReport,
     SessionService,
 };
-pub use session::{ProbeId, Session, SessionReport, SessionStatus, Simulation};
+pub use session::{ForkRefusal, ProbeId, Session, SessionReport, SessionStatus, Simulation};
 pub use solver::{SolveResult, SolverOptions, SolverStats, StateSpaceSolver};
 pub use store::{RecoveryReport, SessionStore, StoreError, StoreOptions};
 

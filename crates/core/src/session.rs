@@ -409,55 +409,6 @@ impl Session {
         })
     }
 
-    /// Adopts the **fast** states of a donor state vector as this session's
-    /// initial condition — the warm-start path of the design-space explorer
-    /// ([`crate::explore`]). The mechanical, coil, rail and intermediate
-    /// Dickson-stage states are copied from `donor`; the supercapacitor
-    /// branch states and the multiplier output stage keep this session's own
-    /// configured pre-charge, so a warm start only skips the fast start-up
-    /// transient and never imports the neighbouring point's stored energy —
-    /// that is what keeps warm-started results within the deviation gate of
-    /// cold-started references.
-    ///
-    /// Returns `true` when the donor was adopted and `false` when the
-    /// validity guard rejected it (dimension mismatch, non-finite or
-    /// implausibly large entries); on rejection the session keeps the cold
-    /// initial state it already has.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfiguration`] if the session has already
-    /// advanced: a warm start replaces the *initial* condition at `t = 0`,
-    /// never a mid-run state.
-    pub fn adopt_initial_state(&mut self, donor: &[f64]) -> Result<bool, CoreError> {
-        if self.t != 0.0 || self.runtime.march_active() || self.finished {
-            return Err(CoreError::InvalidConfiguration(
-                "warm-start adoption is only valid before the session advances past t = 0".into(),
-            ));
-        }
-        if donor.len() != self.x.len() {
-            return Ok(false);
-        }
-        // Every physical state of the harvester (displacement, velocity,
-        // current, stage voltage) lives well inside ±1e3 in SI units; a donor
-        // entry outside that bound is a diverged or foreign run.
-        const PLAUSIBLE_BOUND: f64 = 1.0e3;
-        if donor.iter().any(|value| !value.is_finite() || value.abs() > PLAUSIBLE_BOUND) {
-            return Ok(false);
-        }
-        let supercap = self.harvester.supercap_state_offset();
-        let output_stage = self.harvester.multiplier_state_offset()
-            + self.harvester.multiplier().stage_count()
-            - 1;
-        for (i, &value) in donor.iter().enumerate() {
-            if i == output_stage || (supercap..supercap + 3).contains(&i) {
-                continue;
-            }
-            self.x[i] = value;
-        }
-        Ok(true)
-    }
-
     /// Registers a probe; the returned id retrieves it later through
     /// [`Session::probe`] / [`Session::probe_mut`]. Probes added after the
     /// session has advanced only observe from the current time onward.
@@ -850,6 +801,72 @@ impl Session {
         bytes: &[u8],
         probes: Vec<Box<dyn Probe>>,
     ) -> Result<(Session, Vec<ProbeId>), CoreError> {
+        Self::decode(bytes, probes, None)
+    }
+
+    /// Forks this session onto `config` — a configuration that differs from
+    /// the session's own only in its [`ControllerConfig`] (and in the
+    /// `parameters.watchdog_period_s` mirror of it, which no analogue block
+    /// reads, and the label). The fork is a checkpoint restored with
+    /// `config` substituted: the in-flight march, the loop-carried workspace
+    /// data, the stamp caches, the statistics and the probes' observation
+    /// state (into `probes`: fresh instances of the same types, in
+    /// registration order, as for [`Session::restore_with_probes`]) carry
+    /// over, while the digital kernel is built fresh from `config` and the
+    /// open segment is retargeted to `config`'s first digital event.
+    ///
+    /// The fork is **exact**: the forked session continues bit-identically
+    /// to a session started from `config` at `t = 0`. Before the first
+    /// digital event the two configurations march the same analogue
+    /// trajectory, and the march reads its segment end only to detect
+    /// completion, in the governor's target step and in the step clamp —
+    /// none of which binds while `time() + max_step` stays within the
+    /// segment end. The built-in probes ignore segment boundaries; a custom
+    /// probe that reads them sees the parent's first segment end.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Fork`] with the [`ForkRefusal`] naming why the fork
+    /// could not be exact; checkpoint and model-rebuild failures propagate.
+    pub fn fork(
+        &self,
+        config: ScenarioConfig,
+        probes: Vec<Box<dyn Probe>>,
+    ) -> Result<(Session, Vec<ProbeId>), CoreError> {
+        let own = self.config.as_ref().ok_or(ForkRefusal::AdHocSession)?;
+        let EngineRuntime::StateSpace { options, .. } = &self.runtime else {
+            return Err(ForkRefusal::NotStateSpace.into());
+        };
+        if analogue_key(own) != analogue_key(&config) {
+            return Err(ForkRefusal::AnalogueConfigDiffers.into());
+        }
+        if self.kernel.events_processed() > 0 {
+            return Err(ForkRefusal::DigitalEventProcessed.into());
+        }
+        // An unopened session sits at t = 0 with no segment to outrun.
+        let opened = self.runtime.march_active() || self.finished;
+        if opened && self.time() + options.max_step > self.segment_end {
+            return Err(ForkRefusal::PastSegmentEnd {
+                time_s: self.time(),
+                max_step_s: options.max_step,
+                segment_end_s: self.segment_end,
+            }
+            .into());
+        }
+        Self::decode(&self.checkpoint()?, probes, Some(config))
+    }
+
+    /// The checkpoint decoder behind [`Session::restore_with_probes`] and
+    /// [`Session::fork`]. With `fork` set, the session is rebuilt from that
+    /// configuration instead of the saved one, the saved digital schedule is
+    /// skipped (the fresh kernel of `fork` stays) and the open segment is
+    /// retargeted to the fresh kernel's first event — refused when the march
+    /// is already within one maximal step of it.
+    fn decode(
+        bytes: &[u8],
+        probes: Vec<Box<dyn Probe>>,
+        fork: Option<ScenarioConfig>,
+    ) -> Result<(Session, Vec<ProbeId>), CoreError> {
         let (digest, payload) = checkpoint::open_frame(bytes)?;
         let mut r = ByteReader::new(payload);
         let rebuild = r.take_bytes()?;
@@ -858,9 +875,10 @@ impl Session {
             return Err(CheckpointError::DigestMismatch { expected: digest, found }.into());
         }
         let mut rebuild_reader = ByteReader::new(rebuild);
-        let config = checkpoint::decode_config(&mut rebuild_reader)?;
+        let saved = checkpoint::decode_config(&mut rebuild_reader)?;
         rebuild_reader.expect_end()?;
-        let mut session = Simulation::from_config(config).start()?;
+        let forking = fork.is_some();
+        let mut session = Simulation::from_config(fork.unwrap_or(saved)).start()?;
         // Harvester runtime.
         let tuning_force = r.take_f64()?;
         let load_mode = checkpoint::decode_load_mode(&mut r)?;
@@ -910,7 +928,7 @@ impl Session {
             let process = r.take_usize()?;
             queue.push((time, seq, process));
         }
-        if !session.kernel.restore_schedule(now, sequence, events_processed, &queue) {
+        if !forking && !session.kernel.restore_schedule(now, sequence, events_processed, &queue) {
             return Err(checkpoint::malformed(
                 "saved digital schedule is inconsistent with the rebuilt kernel",
             )
@@ -927,7 +945,7 @@ impl Session {
         }
         for index in 0..process_count {
             let blob = r.take_bytes()?;
-            if !session.kernel.restore_process_state(index, blob) {
+            if !forking && !session.kernel.restore_process_state(index, blob) {
                 return Err(checkpoint::malformed(format!(
                     "digital process {index} rejected its saved state"
                 ))
@@ -986,6 +1004,23 @@ impl Session {
                 }
             }
         }
+        if forking {
+            let segment_end = session.next_segment_end();
+            session.segment_end = segment_end;
+            if let EngineRuntime::StateSpace { options, march: Some(march), .. } =
+                &mut session.runtime
+            {
+                if march.time() + options.max_step > segment_end {
+                    return Err(ForkRefusal::PastSegmentEnd {
+                        time_s: march.time(),
+                        max_step_s: options.max_step,
+                        segment_end_s: segment_end,
+                    }
+                    .into());
+                }
+                march.retarget(segment_end);
+            }
+        }
         // Probes: the caller supplies fresh instances of the saved types (in
         // registration order); each restores its own observation state.
         let probe_count = r.take_usize()?;
@@ -1017,13 +1052,7 @@ impl Session {
     /// arms the engine march over it.
     fn open_segment(&mut self) -> Result<(), CoreError> {
         let clock = Instant::now();
-        let next_event = self
-            .kernel
-            .next_event_time()
-            .map(|time| time.as_secs_f64())
-            .unwrap_or(self.duration)
-            .min(self.duration);
-        let segment_end = next_event.max(self.t + 1e-9);
+        let segment_end = self.next_segment_end();
         self.segment_end = segment_end;
         for probe in &mut self.probes {
             probe.on_segment(self.t, segment_end);
@@ -1053,6 +1082,18 @@ impl Session {
         }
         self.pending_cpu += clock.elapsed();
         Ok(())
+    }
+
+    /// End of the segment [`Session::open_segment`] would open next: the
+    /// next digital event, capped at the span end.
+    fn next_segment_end(&self) -> f64 {
+        let next_event = self
+            .kernel
+            .next_event_time()
+            .map(|time| time.as_secs_f64())
+            .unwrap_or(self.duration)
+            .min(self.duration);
+        next_event.max(self.t + 1e-9)
     }
 
     /// Advances the in-flight march until it completes its segment, its time
@@ -1197,6 +1238,78 @@ impl Session {
         let current: usize = self.probes.iter().map(|probe| probe.memory_bytes()).sum();
         self.peak_probe_bytes = self.peak_probe_bytes.max(current);
     }
+}
+
+/// Why [`Session::fork`] refused: each case is one way the forked session
+/// could stop being bit-identical to a cold run of the new configuration.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum ForkRefusal {
+    /// The session was opened over an ad-hoc harvester ([`Session::start`]),
+    /// so there is no configuration to substitute into.
+    AdHocSession,
+    /// The session runs the Newton–Raphson baseline; only the state-space
+    /// march has the exactness argument the fork relies on.
+    NotStateSpace,
+    /// The new configuration differs in more than the controller settings.
+    AnalogueConfigDiffers,
+    /// A digital event has already been processed, so the controllers may
+    /// already have acted differently.
+    DigitalEventProcessed,
+    /// `time() + max_step` passes a segment end (the session's own or the
+    /// new configuration's first event), where the segment end may already
+    /// have shaped a step.
+    PastSegmentEnd {
+        /// Session time at the fork, in seconds.
+        time_s: f64,
+        /// The march's largest step, in seconds.
+        max_step_s: f64,
+        /// The segment end that binds, in seconds.
+        segment_end_s: f64,
+    },
+}
+
+impl std::fmt::Display for ForkRefusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ForkRefusal::AdHocSession => {
+                write!(f, "the session was not built from a ScenarioConfig")
+            }
+            ForkRefusal::NotStateSpace => write!(f, "only state-space sessions fork"),
+            ForkRefusal::AnalogueConfigDiffers => {
+                write!(f, "the configurations differ in more than their controller settings")
+            }
+            ForkRefusal::DigitalEventProcessed => {
+                write!(f, "a digital event has already been processed")
+            }
+            ForkRefusal::PastSegmentEnd { time_s, max_step_s, segment_end_s } => write!(
+                f,
+                "t = {time_s} s plus max step {max_step_s} s passes the segment end \
+                 {segment_end_s} s"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ForkRefusal {}
+
+/// A configuration's encoding with everything no analogue block reads
+/// blanked: the controller settings, their `parameters.watchdog_period_s`
+/// mirror and the label. Two configurations with equal keys march the same
+/// analogue trajectory until the first digital event.
+pub(crate) fn analogue_key(config: &ScenarioConfig) -> Vec<u8> {
+    let mut analogue = config.clone();
+    analogue.controller = ControllerConfig {
+        watchdog_period_s: 0.0,
+        energy_threshold_v: 0.0,
+        frequency_tolerance_hz: 0.0,
+        measurement_duration_s: 0.0,
+        tuning_rate_hz_per_s: 0.0,
+        tuning_update_interval_s: 0.0,
+    };
+    analogue.parameters.watchdog_period_s = 0.0;
+    analogue.label = None;
+    checkpoint::encode_config(&analogue)
 }
 
 impl std::fmt::Debug for Session {

@@ -1054,6 +1054,15 @@ impl StateSpaceMarch {
         &self.stats
     }
 
+    /// Moves the span end to `t_end` (a session fork onto a configuration
+    /// whose first digital event differs). Exact while `t + max_step` stays
+    /// within both the old and the new end: only completion, the governor's
+    /// target step and the step clamp read the span end, and none of them
+    /// binds there.
+    pub(crate) fn retarget(&mut self, t_end: f64) {
+        self.t_end = t_end;
+    }
+
     /// Whether the march has reached the span end; once true, only
     /// [`StateSpaceMarch::finish`] remains to be called.
     pub(crate) fn is_done(&self) -> bool {

@@ -4,8 +4,10 @@
 //! using multiple simulations".
 //!
 //! This example drives the `explore` subsystem (DESIGN.md §12) in memory: a
-//! declarative [`GridSpec`] over multiplier depth × excitation × pre-charge
-//! is executed by the work-stealing, warm-starting [`Explorer`], and the
+//! declarative [`GridSpec`] over multiplier depth × excitation × watchdog
+//! period × pre-charge is executed by the work-stealing [`Explorer`] — the
+//! two watchdog periods share their analogue prefix, which runs once and is
+//! forked — and the
 //! resulting rows are distilled into an exact Pareto front over (harvested
 //! energy ↑, store-voltage dip ↓, engine steps ↓). Every point runs as a
 //! streaming session observed by O(1) probes, so the grid's memory footprint
@@ -25,20 +27,21 @@ fn main() -> Result<(), harvsim::CoreError> {
     base.duration_s = 0.8;
     base.frequency_step_time_s = 0.2;
 
-    // Pre-charge last: the innermost axis is the warm-start chain direction,
-    // and adjacent pre-charges make the best donors.
+    // Points that differ only in the watchdog period march the same analogue
+    // trajectory until the first wake-up: the explorer runs that prefix once.
     let spec = GridSpec::new(base)
         .axis(SweepParameter::MultiplierStages, &[3.0, 4.0, 5.0, 6.0])
         .axis(SweepParameter::AccelerationAmplitude, &[0.5, 0.7])
+        .axis(SweepParameter::WatchdogPeriod, &[0.3, 0.6])
         .axis(SweepParameter::InitialSupercapVoltage, &[2.3, 2.5, 2.7]);
 
-    println!("== design exploration: stages x acceleration x pre-charge ==");
+    println!("== design exploration: stages x acceleration x watchdog x pre-charge ==");
     println!("grid: {} points, executed by the work-stealing explorer\n", spec.offered());
 
     let report = Explorer::new(spec).run()?;
     println!(
         "completed {} / failed {} / skipped {} of {} offered  \
-         (workers {}, {} engaged, {} steals, warm {} / cold {})",
+         (workers {}, {} engaged, {} steals, forked {} / cold {}, {} steps marched)",
         report.completed,
         report.failed,
         report.skipped,
@@ -47,7 +50,8 @@ fn main() -> Result<(), harvsim::CoreError> {
         report.threads_used,
         report.steals,
         report.warm_hits,
-        report.cold_starts
+        report.cold_starts,
+        report.steps_executed
     );
 
     println!(

@@ -70,7 +70,7 @@ pub use harvsim_blocks::{
 pub use harvsim_core::{
     fnv1a64, BaselineOptions, CheckpointError, Client, Command, ComparisonReport, CoreError,
     DigitalEvent, DrainReport, EnvelopeProbe, ExploreReport, Explorer, Fault, FaultKind, FaultPlan,
-    FaultSite, FrameReader, FrameWriter, GridSpec, JobClass, JobOutcome, JobRequest,
+    FaultSite, ForkRefusal, FrameReader, FrameWriter, GridSpec, JobClass, JobOutcome, JobRequest,
     MixedSignalSimulation, NewtonRaphsonBaseline, ObjectiveSummary, PointMetrics, PointOutcome,
     PointRecord, PowerProbe, Probe, ProtocolError, RecoveryReport, Response, RetryPolicy,
     ScenarioConfig, ScenarioResult, Server, ServerOptions, ServerStats, ServiceError,

@@ -206,3 +206,58 @@ fn resume_without_prior_store_runs_fresh_and_report_only_skips_execution() {
     assert_eq!(replay.pareto_front, report.pareto_front);
     std::fs::remove_file(&path).ok();
 }
+
+/// Byte offsets where each stored frame ends (frames are laid back to back:
+/// a 24-byte header whose bytes 16..24 hold the payload length, the payload,
+/// an 8-byte checksum).
+fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut ends = Vec::new();
+    let mut at = 0usize;
+    while at < bytes.len() {
+        let payload = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap()) as usize;
+        at += 24 + payload + 8;
+        ends.push(at);
+    }
+    ends
+}
+
+#[test]
+fn a_store_killed_mid_group_resumes_bit_identically() {
+    // Two fork groups of three watchdog periods: a kill after any number of
+    // rows leaves some group partly stored, and the rest of it must re-form
+    // (recovered rows leave their group) and still land on the golden rows.
+    let spec = || {
+        GridSpec::new(quick_base())
+            .axis(SweepParameter::AccelerationAmplitude, &[0.5, 0.7])
+            .axis(SweepParameter::WatchdogPeriod, &[0.02, 0.03, 0.04])
+    };
+    let path = unique_path("group");
+    let golden = Explorer::new(spec()).workers(1).store(&path).run().unwrap();
+    assert_eq!(golden.completed, 6);
+    assert_eq!(golden.warm_hits, 4, "the golden run must fork");
+    let bytes = std::fs::read(&path).unwrap();
+    let ends = frame_ends(&bytes);
+    assert_eq!(ends.len(), 6);
+
+    let mut cuts = vec![0];
+    for (k, &end) in ends.iter().enumerate() {
+        let start = if k == 0 { 0 } else { ends[k - 1] };
+        cuts.extend([(start + end) / 2, end]);
+    }
+    for cut in cuts {
+        let what = format!("kill after {cut}/{} bytes", bytes.len());
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let resumed = Explorer::new(spec()).workers(2).store(&path).resume().unwrap();
+        assert_matches_golden(&resumed, &golden, &what);
+        assert_recovered_rows_are_golden(&resumed, &golden, &what);
+        let whole = ends.iter().filter(|end| **end <= cut).count();
+        assert_eq!(resumed.resumed, whole, "{what}: every whole frame is recovered");
+        for (row, gold) in resumed.rows.iter().zip(&golden.rows) {
+            let (m, g) = (row.metrics().unwrap(), gold.metrics().unwrap());
+            assert_eq!(m.energy_gain_j.to_bits(), g.energy_gain_j.to_bits(), "{what}");
+            assert_eq!(m.rms_after_uw.to_bits(), g.rms_after_uw.to_bits(), "{what}");
+            assert_eq!(m.dip_v.to_bits(), g.dip_v.to_bits(), "{what}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
