@@ -86,6 +86,7 @@ pub mod scenario;
 pub mod server;
 pub mod service;
 pub mod session;
+mod slice;
 pub mod solver;
 pub mod store;
 

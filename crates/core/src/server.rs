@@ -6,13 +6,16 @@
 //! # Architecture
 //!
 //! A [`Server`] owns a crash-safe [`SessionStore`] and a worker pool that
-//! advances admitted sessions one time slice at a time, exactly like the
-//! batch [`crate::service::SessionService`] — same class queues
-//! ([`JobClass`] priority, EDF within class, starvation-proof aging), same
-//! checkpoint-on-preempt durability, same panic quarantine, same
-//! deterministic [`FaultPlan`] hooks. The difference is lifecycle: sessions
-//! arrive one `submit` at a time, can be paused/resumed/cancelled mid-run,
-//! and survive server restarts — a new [`Server::start`] over the same
+//! advances admitted sessions one time slice at a time. Each slice runs
+//! through the crate's one slice executor, the same code the batch
+//! [`crate::service::SessionService`] runs, so checkpoint-on-preempt
+//! durability, panic quarantine, billing and the deterministic
+//! [`FaultPlan`] hooks are one implementation; the run queue is the shared
+//! class queue ([`JobClass`] priority, EDF within class, starvation-proof
+//! aging). This module owns what is specific to a front door: the protocol,
+//! the entry lifecycle and the offer ledger. Sessions arrive one `submit` at
+//! a time, can be paused/resumed/cancelled mid-run or drained, and survive
+//! server restarts — a new [`Server::start`] over the same
 //! store directory re-adopts every session the manifest records, and a
 //! resubmission of a known id is **idempotent**: it re-admits from the
 //! stored frame (or just reports the live state), never double-admits and
@@ -35,10 +38,11 @@
 //!
 //! Commands execute atomically under one state lock; slices (the expensive
 //! part) run outside it.
+//!
+//! [`Session`]: crate::session::Session
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -49,7 +53,8 @@ use crate::protocol::{
     StatusInfo, SubmitSpec, WireError, WireState, MAX_FRAME_LEN,
 };
 use crate::service::{ClassQueues, JobClass};
-use crate::session::{Session, SessionReport, Simulation};
+use crate::session::SessionReport;
+use crate::slice::{self, Parked, Slice, SliceExecutor, SliceOutcome};
 use crate::store::SessionStore;
 use crate::CoreError;
 
@@ -73,9 +78,11 @@ pub struct ServerOptions {
     pub aging_passes: u64,
     /// Maximum wire frame length for connections handled by this server.
     pub max_frame_len: usize,
-    /// Deterministic fault plan: slice boundaries ([`FaultSite::SliceBoundary`])
-    /// and the wire sites ([`FaultSite::WireRead`] / [`FaultSite::WireWrite`]);
-    /// arm store sites on the store itself.
+    /// Deterministic fault plan: slice boundaries ([`FaultSite::SliceBoundary`]),
+    /// checkpoint encode/decode ([`FaultSite::CheckpointEncode`] /
+    /// [`FaultSite::CheckpointDecode`]) and the wire sites
+    /// ([`FaultSite::WireRead`] / [`FaultSite::WireWrite`]); arm store sites
+    /// on the store itself.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -95,17 +102,7 @@ impl Default for ServerOptions {
 
 impl ServerOptions {
     fn validate(&self) -> Result<(), CoreError> {
-        if !(self.slice_s > 0.0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "server slice must be positive, got {}",
-                self.slice_s
-            )));
-        }
-        if self.workers == Some(0) {
-            return Err(CoreError::InvalidConfiguration(
-                "server worker count must be at least 1".into(),
-            ));
-        }
+        slice::validate_options("server", self.slice_s, self.workers)?;
         if self.class_capacity == 0 {
             return Err(CoreError::InvalidConfiguration(
                 "server class capacity must admit at least one session".into(),
@@ -134,27 +131,6 @@ pub struct DrainReport {
     pub duration: Duration,
 }
 
-/// A parked session between slices (the server-side mirror of the batch
-/// scheduler's parking states).
-enum EntryParked {
-    /// Admitted, never ran.
-    Fresh(Box<Simulation>),
-    /// Live session kept resident for cheap resumption.
-    Live(Box<Session>),
-    /// Checkpoint bytes (a paused session, or one parked during drain).
-    Frozen(Arc<Vec<u8>>),
-}
-
-impl std::fmt::Debug for EntryParked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EntryParked::Fresh(_) => f.write_str("Fresh"),
-            EntryParked::Live(_) => f.write_str("Live"),
-            EntryParked::Frozen(frame) => write!(f, "Frozen({} bytes)", frame.len()),
-        }
-    }
-}
-
 /// Entry lifecycle. The entry map is the source of truth; queue tokens are
 /// scheduling hints (a token whose entry is no longer `Queued` is dropped at
 /// pop, which is how pause/cancel take effect without queue surgery).
@@ -168,14 +144,12 @@ enum EntryState {
     Cancelled,
 }
 
-#[derive(Debug)]
 struct Entry {
     class: JobClass,
     deadline_s: Option<f64>,
     state: EntryState,
-    /// `None` while running, and for store-backed entries not yet
-    /// materialised (recovered at startup; the first slice loads the frame).
-    parked: Option<EntryParked>,
+    /// `None` while running and once resolved.
+    parked: Option<Parked>,
     billed: Duration,
     queue_latency: Duration,
     slices: u64,
@@ -242,28 +216,6 @@ struct ServerShared {
     idle: Condvar,
 }
 
-/// What one supervised slice produced (built outside the state lock).
-enum SliceOutcome {
-    Killed,
-    Failed {
-        detail: String,
-        billed: Duration,
-        time_s: f64,
-        steps: u64,
-    },
-    Finished {
-        report: Box<SessionReport>,
-        billed: Duration,
-    },
-    Preempted {
-        session: Box<Session>,
-        frame: Arc<Vec<u8>>,
-        billed: Duration,
-        time_s: f64,
-        steps: u64,
-    },
-}
-
 /// The front-door server. Cheap to clone (connection handlers share one
 /// state); see the [module docs](self) for the architecture.
 #[derive(Clone)]
@@ -297,7 +249,7 @@ impl Server {
                     class: JobClass::Batch,
                     deadline_s: None,
                     state: EntryState::Paused,
-                    parked: None,
+                    parked: Some(Parked::Stored),
                     billed: Duration::ZERO,
                     queue_latency: Duration::ZERO,
                     slices: 0,
@@ -432,7 +384,7 @@ impl Server {
                 class,
                 deadline_s: spec.deadline_s,
                 state: EntryState::Queued,
-                parked: Some(EntryParked::Fresh(simulation)),
+                parked: Some(Parked::Fresh(simulation)),
                 billed: Duration::ZERO,
                 queue_latency: Duration::ZERO,
                 slices: 0,
@@ -630,20 +582,20 @@ impl Server {
                 return Response::Error(WireError::Failed("server was killed during drain".into()));
             }
             match entry.parked.take() {
-                Some(EntryParked::Fresh(simulation)) => {
+                Some(Parked::Fresh(simulation)) => {
                     // Never ran: no frame to persist; it restarts fresh when
                     // resubmitted after the restart.
                     not_started += 1;
-                    entry.parked = Some(EntryParked::Fresh(simulation));
+                    entry.parked = Some(Parked::Fresh(simulation));
                     entry.state = EntryState::Paused;
                 }
-                Some(EntryParked::Live(session)) => match session.checkpoint() {
+                Some(Parked::Live(session)) => match session.checkpoint() {
                     Ok(bytes) => {
                         let frame = Arc::new(bytes);
                         if self.shared.store.put(&id, &frame).is_ok() {
                             checkpointed += 1;
                         }
-                        entry.parked = Some(EntryParked::Frozen(frame));
+                        entry.parked = Some(Parked::Frozen(frame));
                         entry.state = EntryState::Paused;
                     }
                     Err(err) => {
@@ -651,22 +603,23 @@ impl Server {
                         state.failed += 1;
                     }
                 },
-                Some(EntryParked::Frozen(frame)) => {
+                Some(Parked::Frozen(frame)) => {
                     // Re-persist: heals any earlier degraded (failed) write.
                     if self.shared.store.is_active(&id)
                         || self.shared.store.put(&id, &frame).is_ok()
                     {
                         checkpointed += 1;
                     }
-                    entry.parked = Some(EntryParked::Frozen(frame));
+                    entry.parked = Some(Parked::Frozen(frame));
                     entry.state = EntryState::Paused;
                 }
-                None => {
+                stored @ (Some(Parked::Stored) | None) => {
                     // Store-backed (recovered, never materialised): already
                     // durable and manifest-consistent.
                     if self.shared.store.is_active(&id) {
                         checkpointed += 1;
                     }
+                    entry.parked = stored;
                     entry.state = EntryState::Paused;
                 }
             }
@@ -782,6 +735,17 @@ fn drained_response(report: DrainReport) -> Response {
     }
 }
 
+impl ServerShared {
+    fn executor(&self) -> SliceExecutor<'_> {
+        SliceExecutor {
+            slice_s: self.options.slice_s,
+            slice_timeout: self.options.slice_timeout,
+            fault_plan: self.options.fault_plan.as_deref(),
+            store: Some(&self.store),
+        }
+    }
+}
+
 fn lock(shared: &ServerShared) -> MutexGuard<'_, ServerState> {
     // Same poison-recovery argument as the batch scheduler: slices panic
     // outside the lock, critical sections stay consistent.
@@ -789,9 +753,9 @@ fn lock(shared: &ServerShared) -> MutexGuard<'_, ServerState> {
 }
 
 /// One worker: pop a token, validate it against the entry map, run one
-/// supervised slice outside the lock, commit. Stale tokens (their entry
-/// paused/cancelled since the push) are dropped here — that is the whole
-/// pause/cancel mechanism.
+/// slice through the executor outside the lock, commit. Stale tokens (their
+/// entry paused/cancelled since the push) are dropped here — that is the
+/// whole pause/cancel mechanism.
 fn worker_loop(shared: &ServerShared) {
     loop {
         let (id, parked, carries_billing) = {
@@ -810,7 +774,7 @@ fn worker_loop(shared: &ServerShared) {
                         entry.queue_latency += waited;
                         entry.state = EntryState::Running;
                         let carries = entry.recovered && entry.slices == 0;
-                        let parked = entry.parked.take();
+                        let parked = entry.parked.take().unwrap_or(Parked::Stored);
                         state.queue_latency_ns[class.index()] +=
                             u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
                         state.running += 1;
@@ -820,190 +784,80 @@ fn worker_loop(shared: &ServerShared) {
                 state = shared.work.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_slice(shared, &id, parked, carries_billing)
-        }));
-        let outcome = run.unwrap_or_else(|payload| SliceOutcome::Failed {
-            detail: format!("session panicked and was quarantined: {}", panic_payload(payload)),
-            billed: Duration::ZERO,
-            time_s: 0.0,
-            steps: 0,
-        });
-        commit_slice(shared, &id, outcome);
+        let slice = shared.executor().run_slice(&id, parked, carries_billing);
+        commit_slice(shared, &id, slice);
     }
 }
 
-/// One scheduling slice, outside the lock: materialise (fresh start, live
-/// reuse, thaw from bytes, or load from the store), advance one slice,
-/// then finish or checkpoint-and-persist. Mirrors the batch scheduler's
-/// slice discipline, so server results are bit-identical to sequential runs.
-fn run_slice(
-    shared: &ServerShared,
-    id: &str,
-    parked: Option<EntryParked>,
-    carries_billing: bool,
-) -> SliceOutcome {
-    let options = &shared.options;
-    let plan = options.fault_plan.as_deref();
-    match plan.and_then(|p| p.decide(FaultSite::SliceBoundary, 0)) {
-        Some(Fault::KillService) => return SliceOutcome::Killed,
-        Some(Fault::Panic) => panic!("{}", FaultPlan::PANIC_MESSAGE),
-        _ => {}
-    }
-    let session = match parked {
-        Some(EntryParked::Fresh(simulation)) => simulation.start().map(Box::new),
-        Some(EntryParked::Live(session)) => Ok(session),
-        Some(EntryParked::Frozen(bytes)) => Session::restore(&bytes).map(Box::new),
-        None => shared
-            .store
-            .get(id)
-            .map_err(|err| {
-                CoreError::InvalidConfiguration(format!(
-                    "store-backed session `{id}` failed to load: {err}"
-                ))
-            })
-            .and_then(|bytes| Session::restore(&bytes))
-            .map(Box::new),
-    };
-    let mut session = match session {
-        Ok(session) => session,
-        Err(err) => {
-            return SliceOutcome::Failed {
-                detail: err.to_string(),
-                billed: Duration::ZERO,
-                time_s: 0.0,
-                steps: 0,
-            }
-        }
-    };
-    // Identity backstop for recovered frames (same as the batch scheduler).
-    if carries_billing {
-        if let Some(label) = session.scenario_label() {
-            if label != id {
-                return SliceOutcome::Failed {
-                    detail: format!(
-                        "recovered checkpoint keyed `{id}` belongs to scenario `{label}`"
-                    ),
-                    billed: Duration::ZERO,
-                    time_s: 0.0,
-                    steps: 0,
-                };
-            }
-        }
-    }
-    let billed_before = if carries_billing { Duration::ZERO } else { engine_time(&session) };
-    let deadline = options.slice_timeout.map(|budget| Instant::now() + budget);
-    let target = session.time() + options.slice_s;
-    let advanced = session.run_until_deadline(target, deadline);
-    let billed = engine_time(&session).saturating_sub(billed_before);
-    let time_s = session.time();
-    let live = session.live_engine_stats();
-    let steps = (live.state_space.steps + live.baseline.steps) as u64;
-    if let Err(err) = advanced {
-        return SliceOutcome::Failed { detail: err.to_string(), billed, time_s, steps };
-    }
-    if session.is_finished() {
-        let _ = shared.store.is_active(id) && shared.store.remove(id).is_ok();
-        return SliceOutcome::Finished { report: Box::new(session.report()), billed };
-    }
-    let frame = match session.checkpoint() {
-        Ok(bytes) => Arc::new(bytes),
-        Err(err) => return SliceOutcome::Failed { detail: err.to_string(), billed, time_s, steps },
-    };
-    // Persist-on-preempt: the crash-recovery currency. A failed put degrades
-    // (the resident frozen copy still carries the session).
-    let _ = shared.store.put(id, &frame);
-    SliceOutcome::Preempted { session, frame, billed, time_s, steps }
-}
-
-/// Books a slice's outcome and decides the entry's next state: requeue,
-/// pause (requested or drain-parked), cancel, finish, or quarantine.
-fn commit_slice(shared: &ServerShared, id: &str, outcome: SliceOutcome) {
+/// Books a slice (`None`: the fault plan killed the server).
+fn commit_slice(shared: &ServerShared, id: &str, slice: Option<Slice>) {
     let mut state = lock(shared);
     state.running -= 1;
-    match outcome {
-        SliceOutcome::Killed => {
+    match slice {
+        Some(slice) => book_slice(shared, &mut state, id, slice),
+        None => {
             state.killed = true;
             state.shutdown = true;
             shared.work.notify_all();
-        }
-        SliceOutcome::Failed { detail, billed, time_s, steps } => {
-            if let Some(entry) = state.entries.get_mut(id) {
-                entry.slices += 1;
-                entry.billed += billed;
-                entry.time_s = entry.time_s.max(time_s);
-                entry.steps = entry.steps.max(steps);
-                entry.state = EntryState::Failed(detail);
-                entry.pause_requested = false;
-                entry.cancel_requested = false;
-                let class = entry.class;
-                state.resident[class.index()] -= 1;
-            }
-            state.failed += 1;
-        }
-        SliceOutcome::Finished { report, billed } => {
-            if let Some(entry) = state.entries.get_mut(id) {
-                entry.slices += 1;
-                entry.billed += billed;
-                entry.time_s = report.time_s;
-                let stats = &report.engine_stats;
-                entry.steps = (stats.state_space.steps + stats.baseline.steps) as u64;
-                entry.final_state_fnv = Some(final_state_fnv(&report));
-                entry.state = EntryState::Done;
-                entry.pause_requested = false;
-                entry.cancel_requested = false;
-                let class = entry.class;
-                state.resident[class.index()] -= 1;
-            }
-            state.done += 1;
-        }
-        SliceOutcome::Preempted { session, frame, billed, time_s, steps } => {
-            let mut requeue: Option<(JobClass, Option<f64>)> = None;
-            let draining = state.draining;
-            let mut cancelled = false;
-            if let Some(entry) = state.entries.get_mut(id) {
-                entry.slices += 1;
-                entry.billed += billed;
-                entry.time_s = time_s;
-                entry.steps = steps;
-                if entry.cancel_requested {
-                    entry.cancel_requested = false;
-                    entry.pause_requested = false;
-                    entry.state = EntryState::Cancelled;
-                    entry.parked = None;
-                    let class = entry.class;
-                    state.resident[class.index()] -= 1;
-                    cancelled = true;
-                } else if entry.pause_requested || draining {
-                    entry.pause_requested = false;
-                    // Frozen under pause/drain: the frame is already durable
-                    // (persist-on-preempt), so a following drain or kill
-                    // finds it manifest-consistent.
-                    entry.parked = Some(EntryParked::Frozen(frame));
-                    entry.state = EntryState::Paused;
-                } else {
-                    entry.parked = Some(EntryParked::Live(session));
-                    entry.state = EntryState::Queued;
-                    requeue = Some((entry.class, entry.deadline_s));
-                }
-            }
-            if cancelled {
-                state.cancelled += 1;
-                let _ = shared.store.is_active(id) && shared.store.remove(id).is_ok();
-            }
-            if let Some((class, deadline_s)) = requeue {
-                state.queue.push(
-                    class,
-                    deadline_s,
-                    QueueItem { id: id.into(), enqueued_at: Instant::now() },
-                );
-                shared.work.notify_one();
-            }
         }
     }
     if state.draining && state.running == 0 {
         shared.idle.notify_all();
     }
+}
+
+/// Books a slice into its entry and moves the entry on: requeue, pause
+/// (requested or drain-parked), cancel, finish, or fail.
+fn book_slice(shared: &ServerShared, state: &mut ServerState, id: &str, slice: Slice) {
+    let draining = state.draining;
+    let Some(entry) = state.entries.get_mut(id) else { return };
+    entry.slices += 1;
+    entry.billed += slice.billed;
+    // A slice that failed before the engine ran reports zero progress.
+    entry.time_s = entry.time_s.max(slice.time_s);
+    entry.steps = entry.steps.max(slice.steps);
+    let cancel = std::mem::take(&mut entry.cancel_requested);
+    let pause = std::mem::take(&mut entry.pause_requested) || draining;
+    entry.state = match slice.outcome {
+        SliceOutcome::Finished(report) => {
+            entry.final_state_fnv = Some(final_state_fnv(&report));
+            EntryState::Done
+        }
+        SliceOutcome::Panicked(payload) => {
+            EntryState::Failed(format!("session panicked and was quarantined: {payload}"))
+        }
+        SliceOutcome::Failed(err) => EntryState::Failed(err.to_string()),
+        SliceOutcome::Preempted { .. } if cancel => EntryState::Cancelled,
+        // Frozen under pause/drain: the frame is already durable
+        // (persist-on-preempt), so a following drain or kill finds it
+        // manifest-consistent.
+        SliceOutcome::Preempted { frame, .. } if pause => {
+            entry.parked = Some(Parked::Frozen(frame));
+            EntryState::Paused
+        }
+        SliceOutcome::Preempted { session, .. } => {
+            entry.parked = Some(Parked::Live(session));
+            EntryState::Queued
+        }
+    };
+    let (class, deadline_s) = (entry.class, entry.deadline_s);
+    match entry.state {
+        EntryState::Queued => {
+            let item = QueueItem { id: id.into(), enqueued_at: Instant::now() };
+            state.queue.push(class, deadline_s, item);
+            shared.work.notify_one();
+            return;
+        }
+        EntryState::Running | EntryState::Paused => return,
+        EntryState::Done => state.done += 1,
+        EntryState::Failed(_) => state.failed += 1,
+        EntryState::Cancelled => {
+            state.cancelled += 1;
+            let _ = shared.store.is_active(id) && shared.store.remove(id).is_ok();
+        }
+    }
+    // Resolved: the entry gives up its class seat.
+    state.resident[class.index()] -= 1;
 }
 
 /// The wire-level bit-identity witness: FNV-1a over the final state vector's
@@ -1017,19 +871,41 @@ fn final_state_fnv(report: &SessionReport) -> u64 {
     fnv1a64(&bytes)
 }
 
-fn engine_time(session: &Session) -> Duration {
-    // The report's total, not the raw engine counters: it folds in the
-    // mid-segment pending engine time, so slices preempted inside a segment
-    // still bill (and the deltas telescope to the final report exactly).
-    session.report().engine_time()
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(message) => *message,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(message) => (*message).to_string(),
-            Err(_) => "non-string panic payload".into(),
-        },
+    /// The wire `status` carries only the `failed` state; the entry keeps
+    /// why, and a quarantine says so together with the panic payload.
+    #[test]
+    fn quarantined_entry_records_the_panic_detail() {
+        let dir =
+            std::env::temp_dir().join(format!("harvsim-server-quarantine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = Arc::new(FaultPlan::new(7).with_site(FaultSite::SliceBoundary, 1, 1));
+        let options = ServerOptions {
+            workers: Some(1),
+            slice_s: 0.002,
+            fault_plan: Some(plan),
+            ..ServerOptions::default()
+        };
+        let server = Server::start(SessionStore::open(&dir).unwrap(), options).unwrap();
+        let mut spec = SubmitSpec::new("victim");
+        spec.duration_s = Some(0.01);
+        assert!(matches!(server.execute(Command::Submit(spec)), Response::Submitted { .. }));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let detail = loop {
+            let state = lock(&server.shared).entries.get("victim").map(|e| e.state.clone());
+            if let Some(EntryState::Failed(detail)) = state {
+                break detail;
+            }
+            assert!(Instant::now() < deadline, "victim never failed: {state:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        assert!(detail.starts_with("session panicked and was quarantined: "), "{detail}");
+        assert!(detail.contains(FaultPlan::PANIC_MESSAGE), "{detail}");
+        server.execute(Command::Drain);
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,18 +1,24 @@
-//! A concurrent session scheduler: thread-per-core workers round-robinning
-//! many (thousands of) resumable [`Session`]s with preemption at
-//! [`Session::run_until`] boundaries, checkpoint-on-preempt, eviction under a
-//! resident-memory budget, per-session engine-time billing — and, since the
-//! durability layer, crash recovery from an on-disk [`SessionStore`], panic
-//! quarantine, poison-proof locking, a per-slice wall-clock watchdog, and
-//! deterministic fault injection.
+//! A concurrent session scheduler: thread-per-core workers slicing many
+//! (thousands of) resumable [`Session`]s, with preemption at the
+//! [`Session::run_until_deadline`] step boundaries, checkpoint-on-preempt,
+//! eviction under a resident-memory budget, per-session engine-time billing,
+//! crash recovery from an on-disk [`SessionStore`], panic quarantine,
+//! poison-proof locking, a per-slice wall-clock watchdog, and deterministic
+//! fault injection.
+//!
+//! Every slice runs through the crate's one slice executor, which the
+//! front-door [`crate::server::Server`] shares: it materialises the parked
+//! session, advances it, bills it, and resolves or checkpoints and persists
+//! it. This module owns what is specific to a batch: admission, the run
+//! queue, eviction under the memory budget, and the report.
 //!
 //! # Scheduling model
 //!
 //! Jobs are submitted as [`Simulation`] builders (a validated
 //! [`crate::ScenarioConfig`] each) and enter a run queue. Every worker
 //! thread repeatedly pops the next runnable job, advances it by one *time
-//! slice* of simulated seconds ([`ServiceOptions::slice_s`]) via
-//! [`Session::run_until_deadline`], and pushes it back. The queue is a set
+//! slice* of simulated seconds ([`ServiceOptions::slice_s`]), and pushes it
+//! back. The queue is a set
 //! of **scheduling classes** ([`JobClass`]: `interactive` > `batch` >
 //! `best-effort`) popped in strict priority order, with
 //! **earliest-deadline-first** ordering inside each class
@@ -53,20 +59,22 @@
 //!
 //! # Billing
 //!
-//! Each slice bills the job the growth of its engine wall-clock
-//! ([`SessionReport::engine_time`]) across the slice. The counters are
+//! Each slice bills the job the growth of its live engine wall-clock
+//! ([`Session::live_engine_stats`], which includes the open analogue
+//! segment's time so far) across the slice. The counters are monotone and
 //! carried inside the session (and inside its checkpoints), so the per-slice
 //! deltas telescope: when a job finishes, its billed total equals its final
 //! report's engine time exactly, and the sum over jobs equals the total
 //! engine time the service spent (billing conservation, pinned by
-//! `tests/service_stress.rs`). A job re-admitted from the on-disk store books
-//! its frame-carried engine time on its first slice, so conservation holds
-//! across service restarts too.
+//! `tests/service_stress.rs`). A job interrupted inside a long segment has
+//! still been billed for the slices it ran. A job re-admitted from the
+//! on-disk store books its frame-carried engine time on its first slice, so
+//! conservation holds across service restarts too.
 //!
 //! # Supervision & durability
 //!
 //! Every slice — materialisation, integration, checkpointing — runs under
-//! `catch_unwind`. A panicking session is **quarantined**: its outcome is a
+//! the slice executor's panic guard. A panicking session is **quarantined**: its outcome is a
 //! typed [`ServiceError::SessionPanicked`] carrying the panic payload, its
 //! last good checkpoint is retained ([`JobOutcome::last_checkpoint`], plus
 //! the store entry when one exists), and the remaining jobs are unaffected.
@@ -87,15 +95,20 @@
 //! workers stop dead, in-flight slices are lost (exactly as in a real kill),
 //! and unresolved jobs report [`ServiceError::Interrupted`]; a following
 //! `run_with_store` over the same store picks the batch back up.
+//!
+//! [`Session`]: crate::session::Session
+//! [`Session::run_until_deadline`]: crate::session::Session::run_until_deadline
+//! [`Session::checkpoint`]: crate::session::Session::checkpoint
+//! [`Session::restore`]: crate::session::Session::restore
+//! [`Session::live_engine_stats`]: crate::session::Session::live_engine_stats
 
-use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::fault::{Fault, FaultPlan, FaultSite};
-use crate::session::{Session, SessionReport, Simulation};
+use crate::fault::FaultPlan;
+use crate::session::{SessionReport, Simulation};
+use crate::slice::{self, Parked, Slice, SliceExecutor, SliceOutcome};
 use crate::store::SessionStore;
 use crate::CoreError;
 
@@ -321,17 +334,7 @@ impl Default for ServiceOptions {
 
 impl ServiceOptions {
     fn validate(&self) -> Result<(), CoreError> {
-        if !(self.slice_s > 0.0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "service slice must be positive, got {}",
-                self.slice_s
-            )));
-        }
-        if self.workers == Some(0) {
-            return Err(CoreError::InvalidConfiguration(
-                "service worker count must be at least 1".into(),
-            ));
-        }
+        slice::validate_options("service", self.slice_s, self.workers)?;
         if self.class_capacity == Some(0) {
             return Err(CoreError::InvalidConfiguration(
                 "class capacity must admit at least one job (use None for unbounded)".into(),
@@ -456,7 +459,7 @@ pub struct JobOutcome {
     pub degraded_writes: usize,
     /// For jobs that did not finish cleanly (quarantined, failed, or
     /// interrupted): the last good checkpoint frame taken before the
-    /// failure, restorable via [`Session::restore`]. `None` for successful
+    /// failure, restorable via [`crate::Session::restore`]. `None` for successful
     /// jobs and for jobs that never completed a slice.
     pub last_checkpoint: Option<Vec<u8>>,
 }
@@ -516,19 +519,10 @@ pub struct ServiceReport {
     pub degraded_writes: usize,
 }
 
-/// A parked job between slices.
-enum Parked {
-    /// Not started yet.
-    Fresh(Box<Simulation>),
-    /// Live session kept resident; the second field is the footprint the
-    /// budget accounting charged for it.
-    Live(Box<Session>, usize),
-    /// Evicted to checkpoint bytes (shared with [`JobSlot::last_frame`], so
-    /// retaining the last good checkpoint costs no copy).
-    Frozen(Arc<Vec<u8>>),
-}
-
 struct JobSlot {
+    /// `None` while the job runs or once it resolved. A frozen job's bytes
+    /// are shared with `last_frame`, so retaining the last good checkpoint
+    /// costs no copy.
     parked: Option<Parked>,
     id: String,
     label: Option<String>,
@@ -543,7 +537,8 @@ struct JobSlot {
     recovered: bool,
     degraded_writes: usize,
     /// The most recent sealed checkpoint frame — the resume point retained
-    /// for quarantined/failed/interrupted jobs.
+    /// for quarantined/failed/interrupted jobs. While the job is parked
+    /// live, its length is the footprint the budget accounting charged.
     last_frame: Option<Arc<Vec<u8>>>,
     done: Option<Result<SessionReport, ServiceError>>,
 }
@@ -585,31 +580,6 @@ struct Task {
     /// frame-carried engine time is booked and conservation holds across
     /// restarts.
     carries_billing: bool,
-}
-
-/// What one supervised slice produced (built outside the scheduler lock).
-enum SliceRun {
-    /// Fault-injected service crash: discard everything, stop the pool.
-    Killed,
-    Failed {
-        err: CoreError,
-        restored: bool,
-        billed: Duration,
-        degraded: usize,
-    },
-    Finished {
-        report: Box<SessionReport>,
-        restored: bool,
-        billed: Duration,
-        degraded: usize,
-    },
-    Preempted {
-        session: Box<Session>,
-        frame: Arc<Vec<u8>>,
-        restored: bool,
-        billed: Duration,
-        degraded: usize,
-    },
 }
 
 /// The multi-session scheduler. Construction validates the options; one
@@ -815,10 +785,16 @@ impl SessionService {
         };
         let default_workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let workers = self.options.workers.unwrap_or(default_workers).min(admitted.max(1)).max(1);
+        let executor = SliceExecutor {
+            slice_s: self.options.slice_s,
+            slice_timeout: self.options.slice_timeout,
+            fault_plan: self.options.fault_plan.as_deref(),
+            store,
+        };
         if admitted > 0 {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| self.worker(&shared, store));
+                    scope.spawn(|| self.worker(&shared, &executor));
                 }
             });
         }
@@ -887,21 +863,13 @@ impl SessionService {
         }
     }
 
-    /// One worker thread: pop-front / run-one-supervised-slice / commit,
-    /// until no unfinished jobs remain or the service is killed. The slice
-    /// body runs under `catch_unwind`, so an escaped panic quarantines the
-    /// one job instead of unwinding through the pool.
-    fn worker(&self, shared: &Shared, store: Option<&SessionStore>) {
-        loop {
-            let Some(task) = self.next_job(shared) else { return };
-            let Task { index, parked, id, carries_billing } = task;
-            let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.run_slice(parked, &id, carries_billing, store)
-            }));
-            match run {
-                Ok(slice) => self.commit_slice(shared, index, slice),
-                Err(payload) => self.quarantine(shared, index, payload),
-            }
+    /// One worker thread: pop the next job, run one slice through the
+    /// executor (which quarantines an escaped panic as a typed outcome),
+    /// commit, until no unfinished jobs remain or the service is killed.
+    fn worker(&self, shared: &Shared, executor: &SliceExecutor<'_>) {
+        while let Some(Task { index, parked, id, carries_billing }) = self.next_job(shared) {
+            let slice = executor.run_slice(&id, parked, carries_billing);
+            self.commit_slice(shared, index, slice);
         }
     }
 
@@ -927,7 +895,8 @@ impl SessionService {
                     .expect("queued job has a parked state (scheduler invariant)");
                 let carries_billing = slot.recovered && slot.slices == 0;
                 let id = slot.id.clone();
-                if let Parked::Live(_, footprint) = &parked {
+                if let Parked::Live(_) = &parked {
+                    let footprint = slot.last_frame.as_ref().map_or(0, |frame| frame.len());
                     state.resident_bytes -= footprint;
                 }
                 return Some(Task { index, parked, id, carries_billing });
@@ -936,136 +905,21 @@ impl SessionService {
         }
     }
 
-    /// One scheduling slice, run outside the scheduler lock (and inside the
-    /// worker's `catch_unwind`): materialise, advance, then either resolve
-    /// or checkpoint. Store traffic degrades instead of failing the job.
-    fn run_slice(
-        &self,
-        parked: Parked,
-        id: &str,
-        carries_billing: bool,
-        store: Option<&SessionStore>,
-    ) -> SliceRun {
-        let plan = self.options.fault_plan.as_deref();
-        match plan.and_then(|p| p.decide(FaultSite::SliceBoundary, 0)) {
-            Some(Fault::KillService) => return SliceRun::Killed,
-            Some(Fault::Panic) => panic!("{}", FaultPlan::PANIC_MESSAGE),
-            _ => {}
-        }
-        // Materialise a live session (start fresh, reuse resident, or thaw
-        // from checkpoint bytes).
-        let restored = matches!(parked, Parked::Frozen(_));
-        let session = match parked {
-            Parked::Fresh(simulation) => simulation.start().map(Box::new),
-            Parked::Live(session, _) => Ok(session),
-            Parked::Frozen(bytes) => {
-                if let Some(Fault::Panic) =
-                    plan.and_then(|p| p.decide(FaultSite::CheckpointDecode, bytes.len()))
-                {
-                    panic!("{}", FaultPlan::PANIC_MESSAGE);
-                }
-                Session::restore(&bytes).map(Box::new)
-            }
-        };
-        let mut session = match session {
-            Ok(session) => session,
-            Err(err) => {
-                return SliceRun::Failed { err, restored, billed: Duration::ZERO, degraded: 0 }
-            }
-        };
-        // Identity backstop for store-recovered frames: a frame whose
-        // embedded scenario label disagrees with the id it was keyed under
-        // must never run as that job (the manifest checksums make this
-        // near-impossible; this catches the residual cases typed).
-        if carries_billing {
-            if let Some(label) = session.scenario_label() {
-                if label != id {
-                    return SliceRun::Failed {
-                        err: CoreError::InvalidConfiguration(format!(
-                            "recovered checkpoint keyed `{id}` belongs to scenario `{label}`"
-                        )),
-                        restored,
-                        billed: Duration::ZERO,
-                        degraded: 0,
-                    };
-                }
-            }
-        }
-        let billed_before = if carries_billing { Duration::ZERO } else { engine_time(&session) };
-        let deadline = self.options.slice_timeout.map(|budget| Instant::now() + budget);
-        let target = session.time() + self.options.slice_s;
-        let advanced = session.run_until_deadline(target, deadline);
-        let billed = engine_time(&session).saturating_sub(billed_before);
-        if let Err(err) = advanced {
-            return SliceRun::Failed { err, restored, billed, degraded: 0 };
-        }
-        let mut degraded = 0usize;
-        if session.is_finished() {
-            // Completion: drop the store entry only after the result is in
-            // hand; a failure here degrades (the entry is re-run after a
-            // crash, idempotently) rather than failing the finished job.
-            if let Some(store) = store {
-                if store.is_active(id) && store.remove(id).is_err() {
-                    degraded += 1;
-                }
-            }
-            return SliceRun::Finished {
-                report: Box::new(session.report()),
-                restored,
-                billed,
-                degraded,
-            };
-        }
-        // Checkpoint-on-preempt: the frame is the eviction currency, the
-        // durable store payload, and the footprint estimate in one.
-        if let Some(Fault::Panic) = plan.and_then(|p| p.decide(FaultSite::CheckpointEncode, 0)) {
-            panic!("{}", FaultPlan::PANIC_MESSAGE);
-        }
-        let frame = match session.checkpoint() {
-            Ok(bytes) => Arc::new(bytes),
-            Err(err) => return SliceRun::Failed { err, restored, billed, degraded },
-        };
-        if let Some(store) = store {
-            if store.put(id, &frame).is_err() {
-                // Graceful degradation: the resident frozen bytes still
-                // carry the job; only crash-recoverability of this slice is
-                // lost.
-                degraded += 1;
-            }
-        }
-        SliceRun::Preempted { session, frame, restored, billed, degraded }
-    }
-
-    /// Books a slice's outcome into the scheduler state. After a service
-    /// kill, in-flight results are discarded — exactly what a real crash
-    /// does to work that never reached the store.
-    fn commit_slice(&self, shared: &Shared, index: usize, run: SliceRun) {
+    /// Books a slice (`None`: the fault plan killed the service) into the
+    /// scheduler state. After a kill, in-flight results are discarded —
+    /// exactly what a real crash does to work that never reached the store.
+    fn commit_slice(&self, shared: &Shared, index: usize, slice: Option<Slice>) {
         let mut state = lock_state(shared);
         if state.killed {
             return;
         }
-        match run {
-            SliceRun::Killed => {
-                state.killed = true;
-                shared.wake.notify_all();
-            }
-            SliceRun::Failed { err, restored, billed, degraded } => {
-                let slot = book_slice(&mut state, index, restored, billed, degraded);
-                let err = match &slot.label {
-                    Some(label) => err.for_scenario(label.clone()),
-                    None => err,
-                };
-                slot.done = Some(Err(ServiceError::Session(err)));
-                state.unfinished -= 1;
-                shared.wake.notify_all();
-            }
-            SliceRun::Finished { report, restored, billed, degraded } => {
-                let slot = book_slice(&mut state, index, restored, billed, degraded);
-                slot.done = Some(Ok(*report));
-                state.unfinished -= 1;
-                shared.wake.notify_all();
-            }
-            SliceRun::Preempted { session, frame, restored, billed, degraded } => {
+        let Some(Slice { outcome, restored, billed, degraded, .. }) = slice else {
+            state.killed = true;
+            shared.wake.notify_all();
+            return;
+        };
+        let result = match outcome {
+            SliceOutcome::Preempted { session, frame } => {
                 let footprint = frame.len();
                 let evict = match self.options.resident_budget_bytes {
                     Some(budget) => state.resident_bytes + footprint > budget,
@@ -1078,7 +932,7 @@ impl SessionService {
                     slot.parked = Some(Parked::Frozen(frame));
                     state.total_evictions += 1;
                 } else {
-                    slot.parked = Some(Parked::Live(session, footprint));
+                    slot.parked = Some(Parked::Live(session));
                     state.resident_bytes += footprint;
                     state.peak_resident_bytes = state.peak_resident_bytes.max(state.resident_bytes);
                 }
@@ -1092,23 +946,24 @@ impl SessionService {
                     QueueToken { index, enqueued_at: Instant::now() },
                 );
                 shared.wake.notify_one();
+                return;
             }
-        }
-    }
-
-    /// Quarantines a job whose slice panicked: typed outcome, last good
-    /// checkpoint retained, neighbours unaffected. After a kill, the panic
-    /// is discarded with the rest of the in-flight work.
-    fn quarantine(&self, shared: &Shared, index: usize, payload: Box<dyn Any + Send>) {
-        let payload = panic_payload(payload);
-        let mut state = lock_state(shared);
-        if state.killed {
-            return;
-        }
-        let slot = &mut state.jobs[index];
-        slot.slices += 1;
-        slot.done = Some(Err(ServiceError::SessionPanicked { id: slot.id.clone(), payload }));
-        state.quarantined += 1;
+            // Quarantine: typed outcome, last good checkpoint retained,
+            // neighbours unaffected.
+            SliceOutcome::Panicked(payload) => {
+                state.quarantined += 1;
+                Err(ServiceError::SessionPanicked { id: state.jobs[index].id.clone(), payload })
+            }
+            SliceOutcome::Failed(err) => {
+                Err(ServiceError::Session(match &state.jobs[index].label {
+                    Some(label) => err.for_scenario(label.clone()),
+                    None => err,
+                }))
+            }
+            SliceOutcome::Finished(report) => Ok(*report),
+        };
+        let slot = book_slice(&mut state, index, restored, billed, degraded);
+        slot.done = Some(result);
         state.unfinished -= 1;
         shared.wake.notify_all();
     }
@@ -1169,29 +1024,10 @@ fn book_slice(
     slot
 }
 
-/// Stringifies a caught panic payload (the common `&str`/`String` cases;
-/// anything else gets a placeholder).
-fn panic_payload(payload: Box<dyn Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(message) => *message,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(message) => (*message).to_string(),
-            Err(_) => "non-string panic payload".into(),
-        },
-    }
-}
-
-/// The billing measure: engine wall-clock booked into the session's closed
-/// segments. Carried inside checkpoints, so per-slice deltas telescope
-/// exactly across preemption, eviction, restore — and service restarts.
-fn engine_time(session: &Session) -> Duration {
-    let stats = session.engine_stats();
-    stats.state_space.cpu_time + stats.baseline.cpu_time
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSite;
     use crate::ScenarioConfig;
 
     fn quick_job(k: usize) -> Simulation {

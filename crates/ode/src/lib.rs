@@ -77,7 +77,7 @@ pub mod stability;
 pub mod step_control;
 
 pub use error::OdeError;
-pub use problem::{FnOdeSystem, LinearOde, OdeSystem};
+pub use problem::{FnOdeSystem, OdeSystem};
 pub use solution::{DecimatedRecorder, SampleSink, Trajectory};
 
 /// Convenient result alias used across the crate.

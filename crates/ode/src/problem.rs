@@ -2,8 +2,6 @@
 
 use harvsim_linalg::{DMatrix, DVector};
 
-use crate::OdeError;
-
 /// A (possibly nonlinear, possibly time-varying) system of first-order ODEs
 /// `ẋ = f(t, x)`.
 ///
@@ -90,74 +88,6 @@ where
     }
 }
 
-/// A linear, time-varying ODE `ẋ = A·x + b(t)` with an explicitly known system
-/// matrix.
-///
-/// This is exactly the form the linearised state-space technique produces at
-/// every time point after eliminating the terminal variables (Eq. 5 of the
-/// paper): `A` is the point total-step matrix and `b(t)` collects the
-/// excitations. Having the matrix explicitly available lets the stability
-/// module compute the step limit of Eq. 7 without finite differences.
-pub struct LinearOde<B>
-where
-    B: Fn(f64) -> DVector,
-{
-    a: DMatrix,
-    b: B,
-}
-
-impl<B> LinearOde<B>
-where
-    B: Fn(f64) -> DVector,
-{
-    /// Creates the system `ẋ = A·x + b(t)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::InvalidParameter`] if `a` is not square.
-    pub fn new(a: DMatrix, b: B) -> Result<Self, OdeError> {
-        if !a.is_square() {
-            return Err(OdeError::InvalidParameter(format!(
-                "system matrix must be square, got {}x{}",
-                a.rows(),
-                a.cols()
-            )));
-        }
-        Ok(LinearOde { a, b })
-    }
-
-    /// The system matrix `A`.
-    pub fn matrix(&self) -> &DMatrix {
-        &self.a
-    }
-
-    /// Evaluates the excitation vector `b(t)`.
-    pub fn excitation(&self, t: f64) -> DVector {
-        (self.b)(t)
-    }
-}
-
-impl<B> OdeSystem for LinearOde<B>
-where
-    B: Fn(f64) -> DVector,
-{
-    fn dimension(&self) -> usize {
-        self.a.rows()
-    }
-
-    fn eval(&self, t: f64, x: &DVector, dx: &mut DVector) {
-        let ax = self.a.mul_vector(x);
-        let b = (self.b)(t);
-        for i in 0..self.dimension() {
-            dx[i] = ax[i] + b[i];
-        }
-    }
-
-    fn jacobian(&self, _t: f64, _x: &DVector) -> DMatrix {
-        self.a.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,24 +122,5 @@ mod tests {
         let sys = FnOdeSystem::new(1, |_t, x: &DVector, dx: &mut DVector| dx[0] = x[0] * x[0]);
         let jac = sys.jacobian(0.0, &DVector::from_slice(&[3.0]));
         assert!((jac[(0, 0)] - 6.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn linear_ode_eval_and_jacobian() {
-        let a = DMatrix::from_rows(&[&[0.0, 1.0], &[-4.0, -0.5]]).unwrap();
-        let sys = LinearOde::new(a.clone(), |t| DVector::from_slice(&[0.0, t])).unwrap();
-        assert_eq!(sys.dimension(), 2);
-        assert_eq!(sys.matrix(), &a);
-        assert_eq!(sys.excitation(2.0).as_slice(), &[0.0, 2.0]);
-        let mut dx = DVector::zeros(2);
-        sys.eval(2.0, &DVector::from_slice(&[1.0, 1.0]), &mut dx);
-        assert_eq!(dx.as_slice(), &[1.0, -2.5]);
-        assert_eq!(sys.jacobian(0.0, &DVector::zeros(2)), a);
-    }
-
-    #[test]
-    fn linear_ode_rejects_non_square() {
-        let a = DMatrix::zeros(2, 3);
-        assert!(LinearOde::new(a, |_t| DVector::zeros(2)).is_err());
     }
 }

@@ -1,7 +1,8 @@
 //! The hardened front door, end to end: full command lifecycle over a real
 //! socket transport, idempotent retry after a dropped reply, deterministic
-//! admission-control shedding, graceful drain with bit-identical resumption
-//! after a restart, and the kill-during-drain torture.
+//! admission-control shedding, panic quarantine, graceful drain with
+//! bit-identical resumption after a restart, and the kill-during-drain
+//! torture.
 //!
 //! Bit-identity is witnessed at the wire level: the `status` line of a
 //! finished session carries the FNV-1a-64 digest of its final state vector,
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 use harvsim::core::store::SessionStore;
 use harvsim::{
     fnv1a64, Client, Command, FaultKind, FaultPlan, FaultSite, JobClass, Response, RetryPolicy,
-    Server, ServerOptions, SubmitSpec, WireError, WireState,
+    Server, ServerOptions, Session, SubmitSpec, WireError, WireState,
 };
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -65,8 +66,12 @@ fn long_spec(id: &str, class: JobClass) -> SubmitSpec {
 /// The uninterrupted sequential run's final-state digest — the bit-identity
 /// reference every scheduled/recovered run must reproduce.
 fn reference_fnv(spec: &SubmitSpec) -> u64 {
-    let mut session = spec.simulation().start().expect("start reference");
-    session.run_to_end().expect("run reference");
+    run_to_end_fnv(spec.simulation().start().expect("start reference"))
+}
+
+/// Runs `session` to the end and digests its final state like `status` does.
+fn run_to_end_fnv(mut session: Session) -> u64 {
+    session.run_to_end().expect("run to the end");
     let report = session.report();
     let mut bytes = Vec::with_capacity(report.final_state.len() * 8);
     for value in report.final_state.iter() {
@@ -736,6 +741,94 @@ fn kill_during_drain_is_recoverable_bit_identically() {
         }
         server.execute(Command::Drain);
         server.join();
+    }
+    assert_no_temp_litter(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Panic quarantine at the front door. With one worker and EDF deadlines the
+/// four sessions run one after another, so the seeded plan picks its victims
+/// deterministically: the third slice-boundary call panics inside
+/// `door-batch-0`'s third slice, and the fourth checkpoint encode panics while
+/// sealing `door-batch-1`'s second slice. Both victims fail typed and keep the
+/// frame of their last good slice in the store; the neighbours finish
+/// bit-identically, the offer ledger balances, and the server still drains.
+#[test]
+fn panicking_sessions_are_quarantined_and_neighbours_finish() {
+    let dir = unique_dir("quarantine");
+    let plan =
+        Arc::new(FaultPlan::new(0x0DD5).with_site(FaultSite::SliceBoundary, 3, 1).with_site(
+            FaultSite::CheckpointEncode,
+            4,
+            1,
+        ));
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: Some(1),
+            slice_s: 0.002,
+            fault_plan: Some(plan.clone()),
+            ..ServerOptions::default()
+        },
+    );
+    let specs: Vec<SubmitSpec> = (0..4).map(|k| quick_spec(k, JobClass::Batch)).collect();
+    for spec in &specs {
+        assert!(matches!(
+            server.execute(Command::Submit(spec.clone())),
+            Response::Submitted { .. }
+        ));
+    }
+
+    let mut victims = Vec::new();
+    for spec in &specs {
+        let info = await_state(&server, &spec.id, &[WireState::Done, WireState::Failed]);
+        if info.state == WireState::Failed {
+            assert_eq!(
+                info.final_state_fnv, None,
+                "{}: a quarantined session has no result",
+                spec.id
+            );
+            victims.push(spec);
+        } else {
+            assert_eq!(
+                info.final_state_fnv,
+                Some(reference_fnv(spec)),
+                "{}: a neighbour of a quarantined session diverged",
+                spec.id
+            );
+        }
+    }
+    let victim_ids: Vec<&str> = victims.iter().map(|spec| spec.id.as_str()).collect();
+    assert_eq!(victim_ids, ["door-batch-0", "door-batch-1"]);
+    assert!(plan.calls(FaultSite::CheckpointEncode) > 0, "checkpoint encodes consult the plan");
+    plan.drained().expect("both armed panics fired");
+
+    let stats = server.stats();
+    assert_eq!(stats.offered, stats.admitted + stats.shed + stats.resubmitted);
+    assert_eq!(stats.done + stats.failed, stats.admitted);
+    assert_eq!((stats.done, stats.failed), (2, 2));
+    assert_eq!(stats.depths, [0, 0, 0], "quarantined sessions are no longer resident");
+    match server.execute(Command::Drain) {
+        Response::Drained { checkpointed, not_started, .. } => {
+            assert_eq!((checkpointed, not_started), (0, 0), "nothing was left to persist");
+        }
+        other => panic!("drain answered {other:?}"),
+    }
+    server.join();
+
+    // Each victim's last good frame survived the panic: it restores and
+    // resumes to the sequential run's final state.
+    let store = SessionStore::open(&dir).expect("reopen store");
+    for spec in victims {
+        let frame = store.get(&spec.id).expect("the victim's last frame is still stored");
+        let resumed = Session::restore(&frame).expect("the victim's frame restores");
+        assert!(resumed.time() > 0.0, "{}: the frame is from a committed slice", spec.id);
+        assert_eq!(
+            run_to_end_fnv(resumed),
+            reference_fnv(spec),
+            "{}: the resumed frame diverged from the sequential run",
+            spec.id
+        );
     }
     assert_no_temp_litter(&dir);
     let _ = std::fs::remove_dir_all(&dir);

@@ -312,3 +312,36 @@ fn probe_panic_leaves_sealed_checkpoints_untouched() {
     assert_eq!(resumed.digital_events, reference.digital_events);
     assert_eq!(resumed.control_events, reference.control_events);
 }
+
+/// Billing is live: a job killed while its first analogue segment is still
+/// open has been billed for the slices it ran, not only for closed segments.
+/// Scenario 1 cut to 0.05 s is one analogue segment spanning five 0.01 s
+/// slices (the watchdog's first wake is at 2 s; the frequency step changes
+/// the excitation inside the segment); the kill lands on the third slice
+/// boundary, after two committed slices.
+#[test]
+fn job_killed_inside_one_segment_is_billed_for_its_committed_slices() {
+    let plan = Arc::new(FaultPlan::new(0xB111).with_kills(2, 1));
+    let service = SessionService::new(ServiceOptions {
+        workers: Some(1),
+        slice_s: 0.01,
+        fault_plan: Some(Arc::clone(&plan)),
+        ..Default::default()
+    })
+    .expect("valid options");
+    let report = service.run(vec![Simulation::scenario1()
+        .duration(0.05)
+        .frequency_step_at(0.04)
+        .label("one-segment")]);
+
+    assert!(report.interrupted);
+    assert_eq!(plan.kills(), 1, "the kill fired");
+    let outcome = &report.outcomes[0];
+    assert!(matches!(outcome.result, Err(ServiceError::Interrupted)));
+    assert_eq!(outcome.slices, 2, "two slices committed before the kill");
+    assert!(
+        outcome.billed_engine_time > Duration::ZERO,
+        "the committed slices of an open segment must be billed"
+    );
+    assert_eq!(report.total_billed, outcome.billed_engine_time);
+}
